@@ -1,0 +1,152 @@
+"""Golden output hashes: the SHA-256 of every output file of small fixed runs.
+
+Each case runs `cli.main` from a fresh directory with relative paths and
+compares the SHA-256 of every file it wrote (manifests excluded, since they
+hold paths) with the digests pinned below. A refactor or a speed-up must
+leave these bytes unchanged; a change that means to move them updates the
+digests and says why.
+
+The digests hold with OpenBLAS's default thread count and with
+OPENBLAS_NUM_THREADS=1.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from expanderlab import cli
+
+RR16 = "random-regular:n=16,d=3,seed=2"
+RR128 = "random-regular:n=128,d=4,seed=7"
+POWER32 = "power:k=2,inner=(random-regular:n=32,d=3,seed=2)"
+
+CASES = {
+    "probe": [
+        [
+            "probe",
+            "--family", "random-regular:n=64,d=4,seed=1",
+            "--family", "random-regular:n=256,d=4,seed=1",
+            "--family", POWER32,
+            "--family", "cayley:recipe=elementary,p=5",
+            "--ratios", "0.5,1.0",
+            "--strategies", "all",
+            "--budget", "200",
+            "--seed", "3",
+            "--out-dir", "probe",
+        ],
+    ],
+    "tower": [["tower", "--p", "3", "--levels", "2", "-o", "tower.csv"]],
+    "sweep-measure": [
+        ["gen", RR128, "-o", "rr128.el"],
+        ["sweep", "rr128.el", "--grid", "0.2,0.35,0.5,0.8", "--seeds-per", "6",
+         "--seed", "3", "-o", "sweep.csv"],
+        ["measure", "rr128.el", "-o", "rr128.json"],
+        ["gen", RR16, "-o", "rr16.el"],
+        ["measure", "rr16.el", "--exact-max", "16", "-o", "rr16.json"],
+    ],
+    "trim": [
+        ["gen", "random-regular:n=64,d=4,seed=3", "-o", "rr64.el"],
+        ["trim", "rr64.el", "--girth", "6", "-o", "trimmed.el"],
+    ],
+    "search": [
+        ["gen", POWER32, "-o", "power32.el"],
+        *(
+            ["search", "power32.el", "--girth", girth, "--strategy", strategy,
+             "--budget", "200", "--seed", seed, "-o", f"{strategy}-{girth}.el",
+             "--report", f"{strategy}-{girth}.json"]
+            for strategy, girth, seed in (
+                ("trim", "5", "4"),
+                ("percolate-repair", "4", "4"),
+                ("anneal", "4", "4"),
+                ("anneal", "3", "7"),
+            )
+        ),
+    ],
+    "balls": [
+        ["gen", "random-regular:n=32,d=3,seed=1", "-o", "rr32.el"],
+        ["balls", "rr32.el", "--radius", "2", "-o", "balls_rr32.csv"],
+        ["gen", "cayley:recipe=elementary,p=5", "-o", "sl2_5.el"],
+        ["balls", "sl2_5.el", "--radius", "2", "-o", "balls_sl2_5.csv"],
+    ],
+}
+
+GOLDEN = {
+    "balls": {
+        "balls_rr32.csv":
+            "50534eedfa3da25074864b19bb14d11c8f08ab80ecc4e73b77f864759b325f21",
+        "balls_sl2_5.csv":
+            "0ed915e3f6e2c7a0b855feaeaa8d80cbf3c226890368c8bbcc5a0ecffa32cc24",
+        "rr32.el":
+            "865dc5b68c8d79b8fdad71312f043fa2b90541cb6b5e2267db33ab3f0a07e0c2",
+        "sl2_5.el":
+            "fd68aeb132fd34fbf5194e0f4cd79cb7ca4ec83d6fa90648d9575be76907091f",
+        "sl2_5.el.labels":
+            "9df9badf8f5d525b6eea10a58429f485e1ab04062456ed923c81eb831228632c",
+    },
+    "probe": {
+        "probe/probe.csv":
+            "ffc2055651cf664c7e655fab36bb47baeeb47bf67e29ae912d0c4b60209e08a9",
+        "probe/probe_summary.json":
+            "6ac866d53752f6ffcb22965de7b9b12d025f1d6e44dcac8c2fe0a5a86dce6251",
+    },
+    "search": {
+        "anneal-3.el":
+            "cf2a8eb3377f6808eae2ceb37f306691c9acbde2df84094c69ce7e5aa4936eab",
+        "anneal-3.json":
+            "9f1ea6e320dfe93f5b9d07ef10c562ff6aa7600104737b30f4bf12db2c954c02",
+        "anneal-4.el":
+            "a0274d13e681b2179406ee7aa83ea19a4ec4c70b568e009d08c6e54c44aacd5c",
+        "anneal-4.json":
+            "d7cc5ef64439aec3132f8cc6bba01400ee3f284cc65a4a6dbc1789790794b2d3",
+        "percolate-repair-4.el":
+            "298011f7bfedb9fb4f7d009b18771ea3353b77a8450b5f524cf14ec2a8f5b0d9",
+        "percolate-repair-4.json":
+            "f84b261fd0c21b6f474f6284040c4bc6ebe646bb6655e13892b9c302716a2a61",
+        "power32.el":
+            "2b2dce37c60f0b7d5707574130bcf892fdbe815b43c86e47d9fbf521fa16b54e",
+        "trim-5.el":
+            "78f0a9234dba8a2a1403bd807680aaddd5c382c8866542978f181def8d32e835",
+        "trim-5.json":
+            "2a0aa586d80e75086806cf06eebac31ab572ed20741010eebf73e2e091b26211",
+    },
+    "sweep-measure": {
+        "rr128.el":
+            "3048106aad14570ff718e055f25520c8cf7e6a5608c9b2429436c4b7187865ea",
+        "rr128.json":
+            "3a84b7f1628b07cdf67ec26a8883aeb0964c1ac2c526bfbccdf70f34485e3a21",
+        "rr16.el":
+            "e3ffd67b88c5fdc485ae8a937ab384f863dcf82cc2390fcd253af24a6aa14221",
+        "rr16.json":
+            "9af95ee1b1f795d308e939ee345cb87f932da2924d7c4444ca0a553813e5a9d1",
+        "sweep.csv":
+            "ad8a88bda93f20417880066f79fe8d8281eedb9a72c17d865bd383bfecdff22b",
+    },
+    "tower": {
+        "tower.csv":
+            "be043f9778b585b1dca4c1b733ffb30294cb54f78a7bb04428fe09d14b591546",
+    },
+    "trim": {
+        "rr64.el":
+            "d2a522450b427f9c78cb95f7208d8f2c58958d8c0b01a269695926db18190e4c",
+        "trimmed.el":
+            "2d1124f88e2d3fa540b87b63d366f1f03106a2bb0eccd642b75b9e1c0fa284d5",
+    },
+}
+
+
+def output_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every file under `root` except manifests, by relative path."""
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and not p.name.endswith("manifest.json")
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output_hashes(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in CASES[case]:
+        assert cli.main(argv) == 0, argv
+    assert output_digests(tmp_path) == GOLDEN[case]
