@@ -231,7 +231,6 @@ def _cmd_probe(args) -> int:
         strategies=strategies,
         budget=args.budget,
         seed=args.seed,
-        threads=args.threads,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -395,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="all")
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_probe)
 

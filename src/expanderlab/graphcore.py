@@ -9,8 +9,10 @@ u < v; edge subsets elsewhere in the package are plain sets of such pairs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 #: Distance sentinel for vertices a BFS cannot reach.
 UNREACHABLE = -1
@@ -70,6 +72,11 @@ class Graph:
                 hi = mid
         return lo < len(a) and a[lo] == v
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 of the canonical edge-list text, computed once per graph."""
+        return hashlib.sha256(write_edge_list_text(self).encode("ascii")).hexdigest()
+
 
 def from_edge_list(el: EdgeList) -> Graph:
     """Build a Graph from an EdgeList, rejecting any invariant violation."""
@@ -102,32 +109,94 @@ def to_edge_list(g: Graph) -> EdgeList:
     return EdgeList(n=g.n, edges=tuple(g.edges()))
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Exact unweighted distances from `source`; UNREACHABLE marks other components."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range for n={g.n}")
-    adj = g.adj
-    dist = [UNREACHABLE] * g.n
+def bfs_distances(
+    adj: Sequence[Iterable[int]],
+    source: int,
+    *,
+    target: Optional[int] = None,
+    max_depth: Optional[int] = None,
+) -> list[int]:
+    """Unweighted distances from `source` over an adjacency sequence.
+
+    `adj` is `Graph.adj` or any working adjacency (lists or sets). The BFS
+    stops as soon as `target` is labelled, or after `max_depth` layers;
+    every vertex it did not label holds UNREACHABLE.
+    """
+    n = len(adj)
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range for n={n}")
+    dist = [UNREACHABLE] * n
     dist[source] = 0
+    if source == target:
+        return dist
+    stop = -1 if target is None else target
+    depth_cap = n if max_depth is None else max_depth
     frontier = [source]
     d = 0
-    while frontier:
+    while frontier and d < depth_cap:
         d += 1
         nxt = []
         for u in frontier:
             for v in adj[u]:
                 if dist[v] < 0:
                     dist[v] = d
+                    if v == stop:
+                        return dist
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf):
+    """(length, root) of a shortest cycle shorter than `below`, or None.
+
+    BFS from every vertex with earliest cross/back-edge detection (Itai and
+    Rodeh): an edge within BFS layer d closes a cycle of length 2d+1, an edge
+    into the next layer one of length 2d+2. The search depth shrinks as
+    better cycles are found, so the scan is fast once any short cycle exists.
+    The root is the smallest vertex from which the best length was found.
+    """
+    best = below
+    best_root = -1
+    # explore while the current depth <= depth_limit
+    depth_limit = n if best == math.inf else (best - 2) // 2
+    token = [-1] * n
+    dist = [0] * n
+    for s in range(n):
+        token[s] = s
+        dist[s] = 0
+        frontier = [s]
+        du = 0
+        while frontier and du <= depth_limit:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if token[v] != s:
+                        token[v] = s
+                        dist[v] = du + 1
+                        nxt.append(v)
+                    else:
+                        dv = dist[v]
+                        if dv < du:
+                            continue  # mirror of a forward edge, seen from below
+                        delta = 1 if dv == du else 0
+                        length = 2 * du + 2 - delta
+                        if length < best:
+                            best = length
+                            best_root = s
+                            depth_limit = du - delta
+            frontier = nxt
+            du += 1
+        if best == 3:
+            break
+    return None if best_root < 0 else (best, best_root)
 
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches every vertex (single vertex counts)."""
     if g.n == 1:
         return True
-    dist = bfs_distances(g, 0)
+    dist = bfs_distances(g.adj, 0)
     return UNREACHABLE not in dist
 
 
@@ -157,8 +226,8 @@ def induced_ball(g: Graph, center: int, r: int) -> tuple[Graph, dict[int, int]]:
         raise ValueError(f"center {center} out of range for n={g.n}")
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    dist = bfs_distances(g, center)
-    members = [v for v, d in enumerate(dist) if 0 <= d <= r]
+    dist = bfs_distances(g.adj, center, max_depth=r)
+    members = [v for v, d in enumerate(dist) if d >= 0]
     return induced_subgraph(g, members)
 
 
@@ -223,4 +292,4 @@ def load_graph(path) -> Graph:
 
 def graph_fingerprint(g: Graph) -> str:
     """SHA-256 of the canonical edge-list text; identifies a host graph exactly."""
-    return hashlib.sha256(write_edge_list_text(g).encode("ascii")).hexdigest()
+    return g.fingerprint

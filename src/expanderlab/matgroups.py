@@ -114,18 +114,6 @@ def _int_det(rows: list[list[int]]) -> int:
     return total
 
 
-def mat_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
-    return a.mul(b)
-
-
-def mat_inv(a: ModMatrix) -> ModMatrix:
-    return a.inv()
-
-
-def mat_reduce(a: ModMatrix, q_new: int) -> ModMatrix:
-    return a.reduce_mod(q_new)
-
-
 @dataclass(frozen=True)
 class ProductElement:
     """Element of a direct product group: componentwise arithmetic."""
@@ -146,9 +134,6 @@ class ProductElement:
     def inv(self) -> "ProductElement":
         return ProductElement(self.left.inv(), self.right.inv())
 
-    def reduce_mod(self, q_new: int) -> "ProductElement":
-        return ProductElement(self.left.reduce_mod(q_new), self.right.reduce_mod(q_new))
-
     def label(self) -> str:
         return f"{self.left.label()} {self.right.label()}"
 
@@ -159,7 +144,6 @@ class GeneratorSet:
 
     elements: tuple
     core: tuple
-    symmetric: bool = True
 
 
 def make_symmetric(core) -> GeneratorSet:
@@ -175,7 +159,7 @@ def make_symmetric(core) -> GeneratorSet:
             if x not in seen:
                 seen.add(x)
                 elements.append(x)
-    return GeneratorSet(elements=tuple(elements), core=tuple(core), symmetric=True)
+    return GeneratorSet(elements=tuple(elements), core=tuple(core))
 
 
 def sanov_generators(q: int) -> GeneratorSet:
@@ -288,8 +272,6 @@ def cayley_graph(gens: GeneratorSet, order_cap: int = 500_000) -> CayleyResult:
     """
     if not gens.elements:
         raise ValueError("empty generator set")
-    if not gens.symmetric:
-        raise ValueError("generator set must be symmetrized first")
     first = gens.elements[0]
     if isinstance(first, ProductElement):
         ident = ProductElement(

@@ -11,7 +11,8 @@ Conventions:
   - Girth is `math.inf` for forests; diameter is `math.inf` for disconnected
     graphs. Both encode as JSON null plus a boolean flag.
   - Exact subset enumerations refuse above `max_n` (default 24) instead of
-    silently running for hours.
+    silently running for hours, and always above n = 26: at n = 26 their
+    8*2^n-byte tables already take 512 MiB (h) and 1 GiB (conductance).
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ComputationRefused
-from .graphcore import Graph, bfs_distances, induced_ball, is_connected
+from .graphcore import Graph, bfs_distances, induced_ball, is_connected, shortest_cycle_scan
 
 #: Sentinel for "no cycle" (girth) and "some pair unreachable" (diameter).
 UNBOUNDED = math.inf
 
 DEFAULT_EXACT_MAX = 24
+_EXACT_N_CAP = 26
 _DENSE_EIGEN_LIMIT = 4096
 _EIGEN_TOL = 1e-9
 _EIGEN_MAX_ITER = 100_000
@@ -48,6 +50,19 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
+def _check_exact_size(n: int, max_n: int, tables: int) -> None:
+    """Refuse an exact enumeration before its `tables` 8*2^n-byte tables exist."""
+    if n > max_n:
+        raise ComputationRefused(
+            f"exact computation refused: n={n} exceeds max_n={max_n} (2^n subsets)"
+        )
+    if n > _EXACT_N_CAP:
+        raise ComputationRefused(
+            f"exact computation refused: n={n} needs {tables * 8 << n} bytes of subset "
+            f"tables; the limit is n={_EXACT_N_CAP}"
+        )
+
+
 def cheeger_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> tuple[Fraction, frozenset[int]]:
     """Exact vertex-expansion minimum and one optimal set.
 
@@ -58,10 +73,7 @@ def cheeger_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> tupl
     n = g.n
     if n < 3:
         raise ValueError(f"graph too small for vertex expansion (n={n} < 3)")
-    if n > max_n:
-        raise ComputationRefused(
-            f"exact computation refused: n={n} exceeds max_n={max_n} (2^n subsets)"
-        )
+    _check_exact_size(n, max_n, tables=1)
     nbr = _neighbor_masks(g)
     full = (1 << n) - 1
     # union_adj[S] = union of neighborhoods over members of S, built by
@@ -112,10 +124,7 @@ def conductance_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> 
     n = g.n
     if n < 2:
         raise ValueError(f"graph too small for conductance (n={n} < 2)")
-    if n > max_n:
-        raise ComputationRefused(
-            f"exact computation refused: n={n} exceeds max_n={max_n} (2^n subsets)"
-        )
+    _check_exact_size(n, max_n, tables=2)
     if not is_connected(g):
         raise ValueError("conductance_exact requires a connected graph")
     nbr = _neighbor_masks(g)
@@ -237,7 +246,7 @@ def spectrum(g: Graph) -> SpectrumResult:
 
     lambda2 is the second-largest eigenvalue, rho_star = max(|lambda2|,
     |lambda_n|) is the nontrivial spectral radius, gap = 1 - lambda2. Dense
-    symmetric solve up to n=4096, deflated orthogonal iteration above.
+    symmetric solve up to n=4096, deflated Lanczos (ARPACK eigsh) above.
     Disconnected graphs are rejected (lambda2 = 1 would be ambiguous).
     """
     if g.n < 2:
@@ -254,53 +263,16 @@ def spectrum(g: Graph) -> SpectrumResult:
 
 
 def girth(g: Graph):
-    """Length of the shortest cycle, or UNBOUNDED (math.inf) for forests.
-
-    BFS from every vertex with earliest cross/back-edge detection: an edge
-    within a BFS layer closes a cycle of length 2d+1, an edge into the next
-    layer one of length 2d+2. The search depth shrinks as better cycles are
-    found, so the scan is fast once any short cycle exists.
-    """
-    n = g.n
-    adj = g.adj
-    best = UNBOUNDED
-    depth_limit = n  # explore while current depth <= depth_limit
-    token = [-1] * n
-    dist = [0] * n
-    for s in range(n):
-        token[s] = s
-        dist[s] = 0
-        frontier = [s]
-        du = 0
-        while frontier and du <= depth_limit:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if token[v] != s:
-                        token[v] = s
-                        dist[v] = du + 1
-                        nxt.append(v)
-                    else:
-                        dv = dist[v]
-                        if dv < du:
-                            continue  # mirror of a forward edge, seen from below
-                        delta = 1 if dv == du else 0
-                        length = 2 * du + 2 - delta
-                        if length < best:
-                            best = length
-                            depth_limit = du - delta
-            frontier = nxt
-            du += 1
-        if best == 3:
-            break
-    return best
+    """Length of the shortest cycle, or UNBOUNDED (math.inf) for forests."""
+    found = shortest_cycle_scan(g.adj, g.n)
+    return UNBOUNDED if found is None else found[0]
 
 
 def diameter(g: Graph):
     """Max BFS eccentricity; UNBOUNDED (math.inf) if the graph is disconnected."""
     worst = 0
     for s in range(g.n):
-        dist = bfs_distances(g, s)
+        dist = bfs_distances(g.adj, s)
         if min(dist) < 0:  # some vertex unreachable
             return UNBOUNDED
         worst = max(worst, max(dist))

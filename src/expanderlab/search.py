@@ -23,7 +23,14 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .builders import FamilySpec, base_family_id, build_family, canonical_spec_string
-from .graphcore import Graph, edge_subgraph, from_edges, is_connected
+from .graphcore import (
+    Graph,
+    bfs_distances,
+    edge_subgraph,
+    from_edges,
+    is_connected,
+    shortest_cycle_scan,
+)
 from .metrics import (
     DEFAULT_EXACT_MAX,
     UNBOUNDED,
@@ -42,57 +49,18 @@ _PHASE_PERC = 0x41
 _PHASE_ANNEAL = 0x42
 _PHASE_PROBE = 0x51
 
+# Tunables with no basis beyond reasonable defaults.
+_ANNEAL_T0 = 1.0
+_ANNEAL_T_END_RATIO = 1e-3
+_ANNEAL_PENALTY = 10.0
+_ANNEAL_PENALTY_DISC = 10.0
+_ANNEAL_RECOMPUTE_EVERY = 64
+_ANNEAL_SURROGATE_WEIGHT = 1.0
+_PERCOLATE_P_LO = 0.05  # percolate-repair clamps p = 1/(rho_star*d) to [lo, hi]
+_PERCOLATE_P_HI = 0.95
+
 
 # --- shortest-cycle machinery -------------------------------------------
-
-
-def _shortest_cycle_scan(adj, n: int, below: Optional[int] = None):
-    """(length, root) of a shortest cycle, optionally only among cycles < below.
-
-    Same pruned layered BFS as metrics.girth; the root kept is the smallest
-    vertex index achieving the best length. Returns None when no qualifying
-    cycle exists.
-    """
-    if below is not None:
-        if below <= 3:
-            return None
-        depth_limit = (below - 2) // 2
-    else:
-        depth_limit = n
-    best_len = None
-    best_root = -1
-    token = [-1] * n
-    dist = [0] * n
-    for s in range(n):
-        token[s] = s
-        dist[s] = 0
-        frontier = [s]
-        du = 0
-        while frontier and du <= depth_limit:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if token[v] != s:
-                        token[v] = s
-                        dist[v] = du + 1
-                        nxt.append(v)
-                    else:
-                        dv = dist[v]
-                        if dv < du:
-                            continue
-                        delta = 1 if dv == du else 0
-                        length = 2 * du + 2 - delta
-                        if (below is None or length < below) and (
-                            best_len is None or length < best_len
-                        ):
-                            best_len = length
-                            best_root = s
-                            depth_limit = du - delta
-            frontier = nxt
-            du += 1
-        if best_len == 3:
-            break
-    return None if best_len is None else (best_len, best_root)
 
 
 def _reconstruct_cycle(adj, n: int, root: int, length: int) -> list[int]:
@@ -136,7 +104,7 @@ def _reconstruct_cycle(adj, n: int, root: int, length: int) -> list[int]:
 
 def shortest_cycle(g: Graph) -> Optional[list[int]]:
     """One shortest cycle as a vertex list (smallest-root, BFS-order tie-break)."""
-    found = _shortest_cycle_scan(g.adj, g.n)
+    found = shortest_cycle_scan(g.adj, g.n)
     if found is None:
         return None
     length, root = found
@@ -156,7 +124,7 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
     n = g.n
     adj = [list(a) for a in g.adj]
     while True:
-        found = _shortest_cycle_scan(adj, n, below=target)
+        found = shortest_cycle_scan(adj, n, below=target)
         if found is None:
             break
         length, root = found
@@ -209,28 +177,6 @@ def reconnect_repair(host: Graph, sub: Iterable[tuple[int, int]]) -> frozenset[t
     return frozenset(edges)
 
 
-def _sub_dist(adj, n: int, source: int, target: int) -> float:
-    """Exact BFS distance in the working subgraph; inf when unreachable."""
-    if source == target:
-        return 0
-    dist = [-1] * n
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    if v == target:
-                        return d
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return math.inf
-
-
 def augment_edges(
     host: Graph,
     sub: Iterable[tuple[int, int]],
@@ -257,16 +203,21 @@ def augment_edges(
     by_source: dict[int, list[int]] = {}
     for u, v in candidates:
         by_source.setdefault(u, []).append(v)
+
+    def sub_dist(u: int, v: int) -> float:
+        d = bfs_distances(adj, u, target=v)[v]
+        return d if d >= 0 else math.inf
+
     heap = []
     for u in sorted(by_source):
         for v in by_source[u]:
-            heap.append((-_sub_dist(adj, n, u, v), u, v))
+            heap.append((-sub_dist(u, v), u, v))
     heapq.heapify(heap)
     adds = 0
     while heap and adds < budget:
         neg, u, v = heapq.heappop(heap)
         stored = -neg
-        cur = _sub_dist(adj, n, u, v)
+        cur = sub_dist(u, v)
         if cur < stored:
             if cur >= girth_floor - 1:
                 heapq.heappush(heap, (-cur, u, v))
@@ -281,24 +232,6 @@ def augment_edges(
 
 
 # --- search --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tunables with no basis beyond reasonable defaults; all overridable."""
-
-    anneal_t0: float = 1.0
-    anneal_t_end_ratio: float = 1e-3
-    anneal_penalty: float = 10.0
-    anneal_penalty_disc: float = 10.0
-    anneal_recompute_every: int = 64
-    anneal_surrogate_weight: float = 1.0
-    percolate_p: Optional[float] = None  # None -> 1/(rho_star*d), clamped
-    percolate_p_lo: float = 0.05
-    percolate_p_hi: float = 0.95
-
-
-DEFAULT_CONFIG = SearchConfig()
 
 
 @dataclass(frozen=True)
@@ -320,33 +253,9 @@ def _components(n: int, edges) -> int:
     return ds.count
 
 
-def _bounded_add_dist(adj, n: int, source: int, target: int, cap: int) -> Optional[int]:
-    """BFS distance if <= cap, else None (meaning: far enough not to matter)."""
-    if cap < 0:
-        return None
-    if source == target:
-        return 0
-    dist = [-1] * n
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier and d < cap:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    if v == target:
-                        return d
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return None
-
-
 def _capped_girth(adj, n: int, cap: int) -> int:
     """min(girth, cap): all the anneal objective ever needs."""
-    found = _shortest_cycle_scan(adj, n, below=cap)
+    found = shortest_cycle_scan(adj, n, below=cap)
     return found[0] if found is not None else cap
 
 
@@ -355,7 +264,6 @@ def _anneal(
     girth_target: int,
     budget: int,
     seed: int,
-    config: SearchConfig,
     init_kept: frozenset[tuple[int, int]],
 ) -> frozenset[tuple[int, int]]:
     """Simulated annealing over edge subsets of the host.
@@ -398,8 +306,8 @@ def _anneal(
     def objective(gap_est: float, capped: int, components: int) -> float:
         return (
             gap_est
-            - config.anneal_penalty * max(0, girth_target - capped)
-            - config.anneal_penalty_disc * (components - 1)
+            - _ANNEAL_PENALTY * max(0, girth_target - capped)
+            - _ANNEAL_PENALTY_DISC * (components - 1)
         )
 
     cur_obj = objective(ref_gap, g_capped, comp)
@@ -410,8 +318,8 @@ def _anneal(
     if budget <= 0:
         return best_kept
 
-    alpha = config.anneal_t_end_ratio ** (1.0 / budget)
-    temp = config.anneal_t0
+    alpha = _ANNEAL_T_END_RATIO ** (1.0 / budget)
+    temp = _ANNEAL_T0
     accepted = 0
     for _ in range(budget):
         temp *= alpha
@@ -432,13 +340,13 @@ def _anneal(
         else:
             cand_edges = kept | {(u, v)}
             cand_comp = _components(n, cand_edges)
-            d = _bounded_add_dist(adj, n, u, v, girth_target - 2)
-            cand_capped = min(g_capped, d + 1) if d is not None else g_capped
+            d = bfs_distances(adj, u, target=v, max_depth=girth_target - 2)[v]
+            cand_capped = min(g_capped, d + 1) if d >= 0 else g_capped
             d_sumdeg, d_sumsq = 2, 2 + 2 * (deg[u] + deg[v])
         cand_sumdeg = sum_deg + d_sumdeg
         cand_sumsq = sum_sq + d_sumsq
         cand_degvar = cand_sumsq / n - (cand_sumdeg / n) ** 2
-        gap_est = ref_gap - config.anneal_surrogate_weight * (cand_degvar - ref_degvar)
+        gap_est = ref_gap - _ANNEAL_SURROGATE_WEIGHT * (cand_degvar - ref_degvar)
         cand_obj = objective(gap_est, cand_capped, cand_comp)
         delta = cand_obj - cur_obj
         if delta >= 0 or stream.uniform() < math.exp(delta / temp):
@@ -458,7 +366,7 @@ def _anneal(
             g_capped, comp = cand_capped, cand_comp
             cur_obj = cand_obj
             accepted += 1
-            if accepted % config.anneal_recompute_every == 0:
+            if accepted % _ANNEAL_RECOMPUTE_EVERY == 0:
                 ref_gap = exact_gap(kept)
                 ref_degvar = degvar()
                 cur_obj = objective(ref_gap, g_capped, comp)
@@ -479,7 +387,6 @@ def search_spanning_subexpander(
     strategy: str = "trim",
     budget: int = 10_000,
     seed: int = 0,
-    config: SearchConfig = DEFAULT_CONFIG,
     host_spectrum: Optional[SpectrumResult] = None,
     host_diameter: Optional[int] = None,
 ) -> SearchResult:
@@ -508,11 +415,9 @@ def search_spanning_subexpander(
         iterations = base_m - len(kept)
     elif strategy == "percolate-repair":
         spec = host_spectrum if host_spectrum is not None else spectrum(host)
-        p = config.percolate_p
-        if p is None:
-            denom = spec.rho_star * host.max_degree
-            p = 1.0 / denom if denom > 0 else config.percolate_p_hi
-        p = min(max(p, config.percolate_p_lo), config.percolate_p_hi)
+        denom = spec.rho_star * host.max_degree
+        p = 1.0 / denom if denom > 0 else _PERCOLATE_P_HI
+        p = min(max(p, _PERCOLATE_P_LO), _PERCOLATE_P_HI)
         sample = percolate(host, p, split(seed, _PHASE_PERC))
         sub = reconnect_repair(host, sample.retained)
         augmented = augment_edges(host, sub, target_eff, budget)
@@ -521,7 +426,7 @@ def search_spanning_subexpander(
         iterations = len(augmented - sub) + (len(augmented) - len(kept))
     else:  # anneal
         init = trim_to_girth(host, target_eff).edge_set()
-        kept = _anneal(host, target_eff, budget, seed, config, init)
+        kept = _anneal(host, target_eff, budget, seed, init)
         iterations = budget
 
     sub = edge_subgraph(host, kept)
@@ -595,7 +500,6 @@ def conjecture_probe(
     budget: int = 500,
     seed: int = 0,
     exact_max: int = DEFAULT_EXACT_MAX,
-    threads: int = 1,
 ) -> tuple[list[ProbeRecord], list[FamilySummary]]:
     """Race the strategies over instances x ratios and keep per-cell winners.
 
@@ -623,39 +527,21 @@ def conjecture_probe(
         h = cheeger_exact(g, exact_max) if 3 <= g.n <= exact_max else None
         hosts.append((spec, g, spec_res, diameter(g), h))
 
-    tasks = []
+    by_cell: dict[tuple[int, int], list[tuple[str, int, SearchResult]]] = {}
     for i, (spec, g, spec_res, d_host, _h) in enumerate(hosts):
         for ri, c in enumerate(ratios):
             target = math.ceil(c * d_host)
             for si, strat in enumerate(strategies):
-                run_seed = split(seed, _PHASE_PROBE, i, ri, si)
-                tasks.append((i, ri, si, strat, target, run_seed))
-
-    def run(task):
-        i, ri, si, strat, target, run_seed = task
-        _spec, g, spec_res, d_host, _h = hosts[i]
-        return search_spanning_subexpander(
-            g,
-            girth_target=target,
-            strategy=strat,
-            budget=budget,
-            seed=run_seed,
-            host_spectrum=spec_res,
-            host_diameter=d_host,
-        )
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(t) for t in tasks]
-
-    by_cell: dict[tuple[int, int], list[tuple[str, int, SearchResult]]] = {}
-    for task, res in zip(tasks, outcomes):
-        i, ri, si, strat, target, run_seed = task
-        by_cell.setdefault((i, ri), []).append((strat, target, res))
+                res = search_spanning_subexpander(
+                    g,
+                    girth_target=target,
+                    strategy=strat,
+                    budget=budget,
+                    seed=split(seed, _PHASE_PROBE, i, ri, si),
+                    host_spectrum=spec_res,
+                    host_diameter=d_host,
+                )
+                by_cell.setdefault((i, ri), []).append((strat, target, res))
 
     records: list[ProbeRecord] = []
     for (i, ri), runs in sorted(by_cell.items()):

@@ -246,6 +246,15 @@ class TestExitCodes:
     def test_input_error_is_2(self, tmp_path):
         assert run(["measure", tmp_path / "missing.el"]) == cli.EXIT_INPUT
 
+    def test_exact_enumeration_too_large_is_3(self, tmp_path, capsys):
+        from oracles import random_connected_graph
+
+        path = tmp_path / "g40.el"
+        save_graph(random_connected_graph(40, 3, extra_edges=20), path)
+        code = run(["measure", path, "--exact-max", 40, "-o", tmp_path / "r.json"])
+        assert code == cli.EXIT_REFUSED
+        assert f"needs {8 << 40} bytes" in capsys.readouterr().err
+
     def test_tower_refused_is_3(self, tmp_path):
         code = run(["tower", "--p", 3, "--levels", 3, "--order-cap", 50, "-o", tmp_path / "t.csv"])
         assert code == cli.EXIT_REFUSED

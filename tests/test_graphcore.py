@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -14,10 +15,11 @@ from expanderlab.graphcore import (
     induced_subgraph,
     is_connected,
     read_edge_list_text,
+    shortest_cycle_scan,
     to_edge_list,
     write_edge_list_text,
 )
-from oracles import random_connected_graph
+from oracles import girth_by_edge_removal, random_connected_graph
 
 
 def cycle(n):
@@ -73,30 +75,85 @@ class TestRoundTrip:
 
 class TestBfs:
     def test_c8(self):
-        assert bfs_distances(cycle(8), 0) == [0, 1, 2, 3, 4, 3, 2, 1]
+        assert bfs_distances(cycle(8).adj, 0) == [0, 1, 2, 3, 4, 3, 2, 1]
 
     def test_k4(self):
-        assert bfs_distances(complete(4), 0) == [0, 1, 1, 1]
+        assert bfs_distances(complete(4).adj, 0) == [0, 1, 1, 1]
 
     def test_unreachable_sentinel(self):
         g = from_edges(5, [(0, 1), (2, 3)])
-        dist = bfs_distances(g, 0)
+        dist = bfs_distances(g.adj, 0)
         assert dist[2] == dist[3] == dist[4] == UNREACHABLE
 
     def test_source_out_of_range(self):
         with pytest.raises(ValueError):
-            bfs_distances(cycle(4), 4)
+            bfs_distances(cycle(4).adj, 4)
 
     def test_layer_step_property(self):
         # every edge joins vertices at BFS distance differing by at most 1,
         # and every reached non-source vertex has a neighbor one layer down
         for seed in range(10):
             g = random_connected_graph(14, 100 + seed, extra_edges=6)
-            dist = bfs_distances(g, 0)
+            dist = bfs_distances(g.adj, 0)
             for u, v in g.edges():
                 assert abs(dist[u] - dist[v]) <= 1
             for v in range(1, g.n):
                 assert any(dist[w] == dist[v] - 1 for w in g.adj[v])
+
+    def test_target_and_depth_agree_with_full_bfs(self):
+        # a stopped or depth-capped BFS labels a subset of the vertices, each
+        # with its true distance, and none beyond max_depth
+        for seed in range(8):
+            g = random_connected_graph(16, 300 + seed, extra_edges=seed)
+            g = from_edges(18, list(g.edges()))  # two isolated vertices
+            working = [set(a) for a in g.adj]
+            for source in range(0, g.n, 3):
+                full = bfs_distances(g.adj, source)
+                for target in (None, *range(g.n)):
+                    for max_depth in (None, 0, 1, 2, 3, 5):
+                        dist = bfs_distances(
+                            working, source, target=target, max_depth=max_depth
+                        )
+                        cap = math.inf if max_depth is None else max_depth
+                        for v in range(g.n):
+                            if dist[v] != UNREACHABLE:
+                                assert dist[v] == full[v] <= cap
+                            elif target is None:
+                                assert full[v] == UNREACHABLE or full[v] > cap
+                        if target is not None and 0 <= full[target] <= cap:
+                            assert dist[target] == full[target]
+
+
+class TestShortestCycleScan:
+    def graphs(self):
+        for seed in range(40):
+            yield random_connected_graph(10 + seed % 9, 500 + seed, extra_edges=seed % 8)
+        yield cycle(9)
+        yield complete(5)
+        yield from_edges(6, [])
+
+    def test_length_is_oracle_girth_below_bound(self):
+        for g in self.graphs():
+            oracle = girth_by_edge_removal(g)
+            for below in (*range(3, 10), math.inf):
+                found = shortest_cycle_scan(g.adj, g.n, below=below)
+                if oracle < below:
+                    length, root = found
+                    assert length == oracle
+                    assert 0 <= root < g.n
+                else:
+                    assert found is None
+
+    def test_bound_just_above_girth_keeps_length_and_root(self):
+        # below = girth + 1 admits only shortest cycles, so the pruned scan
+        # must report the same (length, root) as the unbounded one
+        for g in self.graphs():
+            found = shortest_cycle_scan(g.adj, g.n)
+            if found is None:
+                continue
+            length, root = found
+            assert shortest_cycle_scan(g.adj, g.n, below=length + 1) == found
+            assert shortest_cycle_scan(g.adj, g.n, below=length) is None
 
 
 class TestConnectivity:
@@ -153,10 +210,20 @@ class TestInducedBall:
             g = random_connected_graph(15, 200 + seed, extra_edges=5)
             prev = set()
             for r in range(6):
-                dist = bfs_distances(g, 0)
+                dist = bfs_distances(g.adj, 0)
                 members = {v for v, d in enumerate(dist) if 0 <= d <= r}
                 assert prev <= members
                 prev = members
+
+
+    def test_matches_full_bfs_ball(self):
+        for seed in range(6):
+            g = random_connected_graph(20, 600 + seed, extra_edges=8)
+            for center in range(0, g.n, 4):
+                full = bfs_distances(g.adj, center)
+                for r in range(4):
+                    members = [v for v, d in enumerate(full) if 0 <= d <= r]
+                    assert induced_ball(g, center, r) == induced_subgraph(g, members)
 
 
 class TestEdgeSubgraph:
@@ -218,3 +285,9 @@ class TestTextFormat:
     def test_fingerprint_distinguishes(self):
         assert graph_fingerprint(cycle(6)) != graph_fingerprint(cycle(7))
         assert graph_fingerprint(cycle(6)) == graph_fingerprint(cycle(6))
+
+    def test_fingerprint_is_hash_of_edge_list_text(self):
+        g = random_connected_graph(12, 9, extra_edges=4)
+        text = write_edge_list_text(g).encode("ascii")
+        assert graph_fingerprint(g) == hashlib.sha256(text).hexdigest()
+        assert graph_fingerprint(g) is graph_fingerprint(g)  # computed once

@@ -77,6 +77,14 @@ class TestCheegerExact:
         with pytest.raises(ComputationRefused, match="refused"):
             cheeger_exact(g, max_n=8)
 
+    def test_refused_above_table_limit_whatever_max_n(self):
+        # the 2^n tables are never allocated: 8 * 2^40 bytes would be 8 TiB
+        g = random_connected_graph(40, 2, extra_edges=20)
+        with pytest.raises(ComputationRefused, match=f"needs {8 << 40} bytes"):
+            cheeger_exact(g, max_n=40)
+        with pytest.raises(ComputationRefused, match=f"needs {16 << 40} bytes"):
+            conductance_exact(g, max_n=40)
+
     def test_disconnected_small_component_gives_zero(self):
         # triangle + C4: the triangle is admissible (3 < 3.5) with empty boundary
         g = from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
