@@ -63,6 +63,23 @@ CASES = {
             )
         ),
     ],
+    "cayley": [
+        *(
+            ["gen", f"cayley:recipe={spec}", "-o", f"{name}.el"]
+            for name, spec in (
+                ("sanov9", "sanov,p=3,level=2"),
+                ("trans3_7", "transvections:3,p=7"),
+                ("elem2", "elementary,p=2"),
+                ("elem6", "elementary,p=6"),
+                ("twisted3", "product:twisted,p=3"),
+                ("mixed3", "product:mixed:elementary,p=3"),
+                ("diagonal5", "product:diagonal:elementary,p=5"),
+            )
+        ),
+        ["tower", "--p", "6", "--levels", "1", "--recipe", "elementary", "-o", "tower6.csv"],
+        ["tower", "--p", "3", "--levels", "1", "--recipe", "product:mixed:elementary",
+         "-o", "tower_mixed3.csv"],
+    ],
     "balls": [
         ["gen", "random-regular:n=32,d=3,seed=1", "-o", "rr32.el"],
         ["balls", "rr32.el", "--radius", "2", "-o", "balls_rr32.csv"],
@@ -83,6 +100,40 @@ GOLDEN = {
             "fd68aeb132fd34fbf5194e0f4cd79cb7ca4ec83d6fa90648d9575be76907091f",
         "sl2_5.el.labels":
             "9df9badf8f5d525b6eea10a58429f485e1ab04062456ed923c81eb831228632c",
+    },
+    "cayley": {
+        "diagonal5.el":
+            "fd68aeb132fd34fbf5194e0f4cd79cb7ca4ec83d6fa90648d9575be76907091f",
+        "diagonal5.el.labels":
+            "ae2322fc54ba0a7a8f3cbbb5c984d13956e8b37bd55a051f3897da0c6e262355",
+        "elem2.el":
+            "723f6e23fb6d3afb24ea372d4b1e2fbc7fbf799da47e3f4cc77d0b9dbd2bedc9",
+        "elem2.el.labels":
+            "ff1efa47ba90495e1f12e06788ad1981fa5dfca7c5fa1dbd8a64b16c8616275e",
+        "elem6.el":
+            "93fdeb10371dfc57890e7da6132dc9ec2f2070ea151938ae0075920be6b435f6",
+        "elem6.el.labels":
+            "05813adcab767d26e23766fd6eb8a05f9f69e7e79e9ae69a4160b0f91748b6b5",
+        "mixed3.el":
+            "b60e44cd4b26433b487848eb56b4b429152112ac3f75c5bb3c63927858c67aba",
+        "mixed3.el.labels":
+            "5929d0fa948d017661044a2cf1d0b2a48b81c4999c6a96f4414794ed3e80dffc",
+        "sanov9.el":
+            "b524301cd333794b111bf1b4a2ddaa30330a5d3d8c56f3c79bde909dd077dc07",
+        "sanov9.el.labels":
+            "2647b149169c7190644b5414d26e9aab3a4395d5229fe052f275d982634f9144",
+        "tower6.csv":
+            "66fdc39a0a8d25cb9ced6922f80765ce09a40729ef1a647f98d0319770da1266",
+        "tower_mixed3.csv":
+            "9a02152e7aad528472c8f708ec1df143c5b260a74acb3fa7729c76b398eb4472",
+        "trans3_7.el":
+            "03267b8b6b272f0cb3badef67b87e9c2605fe8145f140afdf196433e6a03bc8f",
+        "trans3_7.el.labels":
+            "ad08178ea1a1d776362b1f9b7efc5fb5f6f05c9aa9b84716214777d9113d6a33",
+        "twisted3.el":
+            "9c92f8c0e4fca648396a36e4b57295733cd5702aaa8cd2200ed47170b3251372",
+        "twisted3.el.labels":
+            "da34558e73e2a6903642f303e6110dcc9012e05a154de1c82852aa812c1d9799",
     },
     "probe": {
         "probe/probe.csv":
