@@ -1,4 +1,9 @@
-"""Arithmetic in SL(m, Z/qZ) and direct products, plus Cayley graph enumeration.
+"""Arithmetic in SL(2, Z/qZ) and its direct square, plus Cayley graph enumeration.
+
+A group element is a tuple of ints reduced mod q in row-major order: four
+entries (a, b, c, d) for [[a, b], [c, d]] in SL(2, Z/qZ), eight for a pair in
+the product group (left block, then right block). The modulus is carried by
+the `GeneratorSet`, not by its elements.
 
 The concrete free pair shipped here is the classical Sanov pair
 a = [[1,2],[0,1]], b = [[1,0],[2,1]], whose lift freely generates a subgroup
@@ -17,189 +22,69 @@ from .errors import ComputationRefused
 from .graphcore import Graph, from_edges
 
 
-@dataclass(frozen=True)
-class ModMatrix:
-    """m x m matrix over Z/qZ, entries stored reduced (canonical form)."""
-
-    dim: int
-    modulus: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def make(cls, dim: int, modulus: int, rows) -> "ModMatrix":
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise ValueError(f"entries are not {dim}x{dim}")
-        return cls(dim, modulus, tuple(tuple(x % modulus for x in r) for r in rows))
-
-    @classmethod
-    def identity(cls, dim: int, modulus: int) -> "ModMatrix":
-        return cls.make(dim, modulus, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
-
-    def is_identity(self) -> bool:
-        return self == ModMatrix.identity(self.dim, self.modulus)
-
-    def det(self) -> int:
-        return _int_det([list(r) for r in self.entries]) % self.modulus
-
-    def mul(self, other: "ModMatrix") -> "ModMatrix":
-        if self.dim != other.dim or self.modulus != other.modulus:
-            raise ValueError(
-                f"dimension/modulus mismatch: {self.dim} mod {self.modulus} vs "
-                f"{other.dim} mod {other.modulus}"
-            )
-        q = self.modulus
-        if self.dim == 2:
-            (a, b), (c, d) = self.entries
-            (e, f), (g, h) = other.entries
-            return ModMatrix(
-                2, q,
-                (((a * e + b * g) % q, (a * f + b * h) % q),
-                 ((c * e + d * g) % q, (c * f + d * h) % q)),
-            )
-        rows = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.dim)) % q
-                  for j in range(self.dim))
-            for i in range(self.dim)
-        )
-        return ModMatrix(self.dim, q, rows)
-
-    def inv(self) -> "ModMatrix":
-        """Inverse via the adjugate; defined exactly when det = 1 (mod q)."""
-        q = self.modulus
-        if self.det() != 1 % q:
-            raise ValueError(f"not in SL: det = {self.det()} (mod {q})")
-        if self.dim == 2:
-            (a, b), (c, d) = self.entries
-            return ModMatrix(2, q, ((d % q, -b % q), (-c % q, a % q)))
-        n = self.dim
-        adj = [
-            [
-                ((-1) ** (i + j)) * _int_det(_minor(self.entries, j, i))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return ModMatrix.make(n, q, adj)
-
-    def reduce_mod(self, q_new: int) -> "ModMatrix":
-        if q_new < 2 or self.modulus % q_new != 0:
-            raise ValueError(f"{q_new} does not divide modulus {self.modulus}")
-        return ModMatrix.make(self.dim, q_new, self.entries)
-
-    def label(self) -> str:
-        return " ".join(str(x) for row in self.entries for x in row)
+def group_mul(x: tuple, y: tuple, q: int) -> tuple:
+    """Product x*y mod q, 2x2 block by 2x2 block."""
+    if len(x) == 4:
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+    return group_mul(x[:4], y[:4], q) + group_mul(x[4:], y[4:], q)
 
 
-def _minor(entries, drop_row: int, drop_col: int) -> list[list[int]]:
-    return [
-        [x for j, x in enumerate(row) if j != drop_col]
-        for i, row in enumerate(entries)
-        if i != drop_row
-    ]
+def group_inv(x: tuple, q: int) -> tuple:
+    """Inverse mod q via each block's adjugate; defined exactly when every det = 1 (mod q)."""
+    out: tuple = ()
+    for i in range(0, len(x), 4):
+        a, b, c, d = x[i:i + 4]
+        det = (a * d - b * c) % q
+        if det != 1:
+            raise ValueError(f"not in SL: det = {det} (mod {q})")
+        out += (d % q, -b % q, -c % q, a % q)
+    return out
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by cofactor expansion (dims here are tiny)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j, x in enumerate(rows[0]):
-        if x:
-            total += ((-1) ** j) * x * _int_det(_minor(rows, 0, j))
-    return total
-
-
-@dataclass(frozen=True)
-class ProductElement:
-    """Element of a direct product group: componentwise arithmetic."""
-
-    left: ModMatrix
-    right: ModMatrix
-
-    def __post_init__(self):
-        if self.left.dim != self.right.dim or self.left.modulus != self.right.modulus:
-            raise ValueError("product components must share dim and modulus")
-
-    def is_identity(self) -> bool:
-        return self.left.is_identity() and self.right.is_identity()
-
-    def mul(self, other: "ProductElement") -> "ProductElement":
-        return ProductElement(self.left.mul(other.left), self.right.mul(other.right))
-
-    def inv(self) -> "ProductElement":
-        return ProductElement(self.left.inv(), self.right.inv())
-
-    def label(self) -> str:
-        return f"{self.left.label()} {self.right.label()}"
+def _identity(size: int) -> tuple:
+    return (1, 0, 0, 1) * (size // 4)
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Symmetric, identity-free generating set plus the defining core pair."""
+    """Symmetric, identity-free generating set plus the defining core pair, mod `modulus`."""
 
     elements: tuple
     core: tuple
+    modulus: int
 
 
-def make_symmetric(core) -> GeneratorSet:
-    """Close `core` under inverses, drop identity, dedupe by canonical form."""
-    elements = []
-    seen = set()
-    for e in core:
-        if isinstance(e, ModMatrix) and e.det() != 1 % e.modulus:
-            raise ValueError(f"not in SL: det = {e.det()} (mod {e.modulus})")
-        for x in (e, e.inv()):
-            if x.is_identity():
-                continue
-            if x not in seen:
-                seen.add(x)
-                elements.append(x)
-    return GeneratorSet(elements=tuple(elements), core=tuple(core))
-
-
-def sanov_generators(q: int) -> GeneratorSet:
-    """The Sanov pair [[1,2],[0,1]], [[1,0],[2,1]] mod q, symmetrized.
-
-    Their lift to SL(2,Z) generates a free group (classical ping-pong pair),
-    so relations can only close modulo q, never over Z.
-    """
-    if q < 3:
-        raise ValueError(f"sanov generators need q >= 3 (a = identity mod 2), got {q}")
-    a = ModMatrix.make(2, q, [[1, 2], [0, 1]])
-    b = ModMatrix.make(2, q, [[1, 0], [2, 1]])
-    return make_symmetric([a, b])
-
-
-def elementary_generators(q: int) -> GeneratorSet:
-    """The two unit transvections mod q, symmetrized; generate all of SL(2, Z/qZ)."""
+def make_symmetric(core, q: int) -> GeneratorSet:
+    """Reduce `core` mod q, close under inverses, drop the identity, dedupe."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
-    a = ModMatrix.make(2, q, [[1, 1], [0, 1]])
-    b = ModMatrix.make(2, q, [[1, 0], [1, 1]])
-    return make_symmetric([a, b])
+    core = tuple(tuple(x % q for x in e) for e in core)
+    elements: list = []
+    for e in core:
+        for x in (e, group_inv(e, q)):
+            if x != _identity(len(x)) and x not in elements:
+                elements.append(x)
+    return GeneratorSet(elements=tuple(elements), core=core, modulus=q)
 
 
 def transvection_generators(q: int, k: int = 2) -> GeneratorSet:
     """The pair [[1,k],[0,1]], [[1,0],[k,1]] mod q, symmetrized.
 
-    These are the k-th powers of the unit transvections, so they sit inside
-    the k-th power of the elementary set; for k >= 2 the lift is a free pair
-    (ping-pong), making k=2 exactly the Sanov pair. The exponent is exposed
-    because no canonical choice exists for the distance-O(1) substitute
-    construction it feeds.
+    These are the k-th powers of the unit transvections. k=1 is the elementary
+    pair, which generates all of SL(2, Z/qZ). For k >= 2 the lift to SL(2,Z)
+    is a free pair (ping-pong), so relations can only close modulo q, never
+    over Z; k=2 is exactly the Sanov pair. The exponent is exposed because no
+    canonical choice exists for the distance-O(1) substitute construction it
+    feeds.
     """
     if k < 1:
         raise ValueError(f"transvection power must be >= 1, got {k}")
-    if k % q == 0:
+    gs = make_symmetric([(1, k, 0, 1), (1, 0, k, 1)], q)
+    if not gs.elements:
         raise ValueError(f"transvection power {k} collapses to identity mod {q}")
-    a = ModMatrix.make(2, q, [[1, k], [0, 1]])
-    b = ModMatrix.make(2, q, [[1, 0], [k, 1]])
-    return make_symmetric([a, b])
+    return gs
 
 
 _PAIRINGS = ("diagonal", "twisted", "mixed")
@@ -216,14 +101,14 @@ def product_generators(gs: GeneratorSet, pairing: str = "twisted") -> GeneratorS
         raise ValueError(f"need >= 2 core generators, got {len(gs.core)}")
     a, b = gs.core[0], gs.core[1]
     if pairing == "diagonal":
-        core = [ProductElement(a, a), ProductElement(b, b)]
+        core = [a + a, b + b]
     elif pairing == "twisted":
-        core = [ProductElement(a, b), ProductElement(b, a)]
+        core = [a + b, b + a]
     elif pairing == "mixed":
-        core = [ProductElement(a, b), ProductElement(b, a.mul(b))]
+        core = [a + b, b + group_mul(a, b, gs.modulus)]
     else:
         raise ValueError(f"unknown pairing {pairing!r}, expected one of {_PAIRINGS}")
-    return make_symmetric(core)
+    return make_symmetric(core, gs.modulus)
 
 
 def is_prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -272,17 +157,10 @@ def cayley_graph(gens: GeneratorSet, order_cap: int = 500_000) -> CayleyResult:
     """
     if not gens.elements:
         raise ValueError("empty generator set")
-    first = gens.elements[0]
-    if isinstance(first, ProductElement):
-        ident = ProductElement(
-            ModMatrix.identity(first.left.dim, first.left.modulus),
-            ModMatrix.identity(first.right.dim, first.right.modulus),
-        )
-    else:
-        ident = ModMatrix.identity(first.dim, first.modulus)
-    for s in gens.elements:
-        if s.is_identity():
-            raise ValueError("generator set contains the identity")
+    q = gens.modulus
+    ident = _identity(len(gens.elements[0]))
+    if ident in gens.elements:
+        raise ValueError("generator set contains the identity")
     index = {ident: 0}
     order = [ident]
     edges = set()
@@ -290,7 +168,7 @@ def cayley_graph(gens: GeneratorSet, order_cap: int = 500_000) -> CayleyResult:
     while i < len(order):
         cur = order[i]
         for s in gens.elements:
-            nxt = cur.mul(s)
+            nxt = group_mul(cur, s, q)
             j = index.get(nxt)
             if j is None:
                 if len(order) >= order_cap:
@@ -304,12 +182,9 @@ def cayley_graph(gens: GeneratorSet, order_cap: int = 500_000) -> CayleyResult:
             edges.add((i, j) if i < j else (j, i))
         i += 1
     graph = from_edges(len(order), edges)
-    labels = tuple(e.label() for e in order)
-    if isinstance(first, ProductElement):
-        base = sl2_order(first.left.modulus) if first.left.dim == 2 else None
-        full = base * base if base is not None else None
-    else:
-        full = sl2_order(first.modulus) if first.dim == 2 else None
+    labels = tuple(" ".join(map(str, e)) for e in order)
+    base = sl2_order(q)
+    full = base ** (len(ident) // 4) if base is not None else None
     return CayleyResult(graph=graph, labels=labels, reached_order=len(order), full_group_order=full)
 
 
@@ -317,9 +192,9 @@ def generators_from_recipe(recipe: str, q: int) -> GeneratorSet:
     """Named recipes: `sanov`, `elementary`, `transvections[:<k>]`,
     `product:<pairing>[:<base>]`."""
     if recipe == "sanov":
-        return sanov_generators(q)
+        return transvection_generators(q, 2)
     if recipe == "elementary":
-        return elementary_generators(q)
+        return transvection_generators(q, 1)
     if recipe == "transvections" or recipe.startswith("transvections:"):
         parts = recipe.split(":")
         k = int(parts[1]) if len(parts) > 1 and parts[1] else 2
@@ -357,12 +232,17 @@ def girth_tower_report(
 ) -> list[TowerRow]:
     """One row per tower level q = p, p^2, ..., p^n_max: size, girth, gap.
 
-    Girth must be non-decreasing up the tower (a relation mod p^n also holds
-    mod p^{n-1}); a violation would mean broken group arithmetic, so it is
-    checked here rather than left to callers.
+    Where two consecutive levels have equal degree, reduction mod p^{n-1}
+    maps the generators of level n one-to-one onto those of level n-1, so it
+    is a covering map and girth cannot drop from level n-1 to level n; a drop
+    there would mean broken group arithmetic, so it is checked here rather
+    than left to callers. Where the degree grows (at p=2 the unit
+    transvections are involutions, so level 1 has degree 2), girth may fall.
     """
     from . import metrics
 
+    if n_max < 1:
+        raise ValueError(f"tower needs at least one level, got {n_max}")
     rows: list[TowerRow] = []
     for level in range(1, n_max + 1):
         res = cayley_from_recipe(recipe, p, level, order_cap=order_cap)
@@ -380,8 +260,8 @@ def girth_tower_report(
                 full_group_order=res.full_group_order,
             )
         )
-    girths = [r.girth for r in rows]
-    if any(girths[i] > girths[i + 1] for i in range(len(girths) - 1)):
+    if any(lo.degree == hi.degree and lo.girth > hi.girth for lo, hi in zip(rows, rows[1:])):
+        girths = [r.girth for r in rows]
         raise RuntimeError(f"girth not monotone along the tower: {girths}")
     return rows
 

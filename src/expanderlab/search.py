@@ -379,6 +379,11 @@ def _anneal(
     return best_kept
 
 
+def _check_ratio(ratio: float) -> None:
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ValueError(f"girth/diameter ratio must be finite and > 0, got {ratio}")
+
+
 def search_spanning_subexpander(
     host: Graph,
     *,
@@ -402,8 +407,9 @@ def search_spanning_subexpander(
     if not is_connected(host):
         raise ValueError("search requires a connected host")
     if girth_target is None:
-        if ratio is None or ratio <= 0:
-            raise ValueError("need ratio > 0 or an absolute girth_target")
+        if ratio is None:
+            raise ValueError("need a ratio or an absolute girth_target")
+        _check_ratio(ratio)
         d_host = host_diameter if host_diameter is not None else diameter(host)
         girth_target = math.ceil(ratio * d_host)
     target_eff = max(girth_target, 3)  # girth >= 3 holds vacuously for any target below
@@ -515,6 +521,8 @@ def conjecture_probe(
             raise ValueError(f"unknown strategy {s!r}")
     if not specs or not ratios:
         raise ValueError("need at least one family spec and one ratio")
+    for c in ratios:
+        _check_ratio(c)
 
     hosts = []
     for spec in specs:

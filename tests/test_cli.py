@@ -186,6 +186,13 @@ class TestBallsTower:
         assert lines[1].split(",")[2] == "24"
         assert lines[2].split(",")[2] == "648"
 
+    def test_tower_p2_girth_falls_where_degree_grows(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run(["tower", "--p", 2, "--levels", 3, "--recipe", "elementary", "-o", out]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["2", "4", "4"]  # degree
+        assert [r[4] for r in rows] == ["6", "4", "6"]  # girth
+
     def test_tower_order_cap_exit3(self, tmp_path):
         code = run(
             ["tower", "--p", 3, "--levels", 2, "--order-cap", 100, "-o", tmp_path / "t.csv"]
@@ -258,3 +265,18 @@ class TestExitCodes:
     def test_tower_refused_is_3(self, tmp_path):
         code = run(["tower", "--p", 3, "--levels", 3, "--order-cap", 50, "-o", tmp_path / "t.csv"])
         assert code == cli.EXIT_REFUSED
+
+    def test_tower_without_levels_is_2(self, tmp_path):
+        for levels in (0, -1):
+            out = tmp_path / "t.csv"
+            assert run(["tower", "--p", 3, "--levels", levels, "-o", out]) == cli.EXIT_INPUT
+            assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "-1"])
+    def test_bad_ratio_is_2(self, tmp_path, ratio):
+        host = tmp_path / "c10.el"
+        run(["gen", "cycle:n=10", "-o", host])
+        assert run(["search", host, "--ratio", ratio, "-o", tmp_path / "s.el"]) == cli.EXIT_INPUT
+        code = run(["probe", "--family", "cycle:n=10", "--ratios", ratio,
+                    "--out-dir", tmp_path / "probe"])
+        assert code == cli.EXIT_INPUT

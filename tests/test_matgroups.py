@@ -5,91 +5,80 @@ from expanderlab.errors import ComputationRefused
 from expanderlab.matgroups import (
     CayleyResult,
     GeneratorSet,
-    ModMatrix,
-    ProductElement,
     cayley_from_recipe,
     cayley_graph,
-    elementary_generators,
     generators_from_recipe,
     girth_tower_report,
+    group_inv,
+    group_mul,
     is_prime_power,
     make_symmetric,
     product_generators,
-    sanov_generators,
     sl2_order,
+    transvection_generators,
     words_avoid_identity,
 )
 from expanderlab.rng import Stream
 
-
-def mm(q, rows):
-    return ModMatrix.make(2, q, rows)
+IDENT = (1, 0, 0, 1)
 
 
-def random_sl2(q: int, stream: Stream) -> ModMatrix:
+def random_sl2(q: int, stream: Stream) -> tuple:
     """Random product of elementary generators — always determinant 1."""
-    gens = elementary_generators(q).elements
-    x = ModMatrix.identity(2, q)
+    gens = transvection_generators(q, 1).elements
+    x = IDENT
     for _ in range(stream.randrange(12) + 1):
-        x = x.mul(gens[stream.randrange(len(gens))])
+        x = group_mul(x, gens[stream.randrange(len(gens))], q)
     return x
+
+
+def reduce(x: tuple, q: int) -> tuple:
+    return tuple(v % q for v in x)
 
 
 class TestMatrixArithmetic:
     def test_mul_example_mod5(self):
-        a = mm(5, [[1, 1], [0, 1]])
-        b = mm(5, [[1, 0], [1, 1]])
-        assert a.mul(b).entries == ((2, 1), (1, 1))
+        assert group_mul((1, 1, 0, 1), (1, 0, 1, 1), 5) == (2, 1, 1, 1)
 
     def test_mul_identity(self):
-        a = mm(7, [[2, 3], [3, 5]])
-        assert a.mul(ModMatrix.identity(2, 7)) == a
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mm(5, [[1, 1], [0, 1]]).mul(mm(7, [[1, 1], [0, 1]]))
+        a = (2, 3, 3, 5)
+        assert group_mul(a, IDENT, 7) == a
 
     def test_inv_unipotent(self):
         for q in (5, 9, 27):
-            a = mm(q, [[1, 1], [0, 1]])
-            assert a.inv().entries == ((1, q - 1), (0, 1))
+            assert group_inv((1, 1, 0, 1), q) == (1, q - 1, 0, 1)
 
     def test_inv_identity(self):
-        i = ModMatrix.identity(2, 11)
-        assert i.inv() == i
+        assert group_inv(IDENT, 11) == IDENT
 
     def test_inv_rejects_det_not_one(self):
         with pytest.raises(ValueError, match="not in SL"):
-            mm(5, [[2, 0], [0, 1]]).inv()
+            group_inv((2, 0, 0, 1), 5)
+        with pytest.raises(ValueError, match="not in SL"):
+            group_inv(IDENT + (2, 0, 0, 1), 5)
 
     def test_group_laws_random(self):
         for q in (3, 5, 9, 25, 27):
             stream = Stream(q * 17)
-            ident = ModMatrix.identity(2, q)
             for _ in range(1000):
                 a, b, c = (random_sl2(q, stream) for _ in range(3))
-                assert a.mul(b).mul(c) == a.mul(b.mul(c))
-                assert a.mul(a.inv()) == ident
-                assert a.mul(ident) == a
+                assert group_mul(group_mul(a, b, q), c, q) == group_mul(a, group_mul(b, c, q), q)
+                assert group_mul(a, group_inv(a, q), q) == IDENT
+                assert group_mul(a, IDENT, q) == a
 
-    def test_dim3_inverse(self):
-        a = ModMatrix.make(3, 7, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
-        assert a.det() == 1
-        assert a.mul(a.inv()) == ModMatrix.identity(3, 7)
+    def test_product_blocks_componentwise(self):
+        q = 9
+        stream = Stream(5)
+        for _ in range(200):
+            a, b, c, d = (random_sl2(q, stream) for _ in range(4))
+            assert group_mul(a + b, c + d, q) == group_mul(a, c, q) + group_mul(b, d, q)
+            assert group_inv(a + b, q) == group_inv(a, q) + group_inv(b, q)
 
 
 class TestReduce:
     def test_entrywise(self):
-        a = mm(9, [[4, 7], [3, 8]])
-        assert a.reduce_mod(3).entries == ((1, 1), (0, 2))
-
-    def test_same_modulus_identity_map(self):
-        a = mm(9, [[1, 2], [0, 1]])
-        assert a.reduce_mod(9) == a
-
-    def test_non_divisor_rejected(self):
-        with pytest.raises(ValueError, match="divide"):
-            mm(9, [[1, 2], [0, 1]]).reduce_mod(2)
+        # a core given over Z is reduced entry by entry
+        assert make_symmetric([(10, -7, 9, 1)], 9).core == ((1, 2, 0, 1),)
 
     def test_homomorphism_random(self):
         for q, q_new in ((9, 3), (25, 5), (27, 9), (27, 3)):
@@ -97,78 +86,109 @@ class TestReduce:
             for _ in range(250):
                 a = random_sl2(q, stream)
                 b = random_sl2(q, stream)
-                assert a.mul(b).reduce_mod(q_new) == a.reduce_mod(q_new).mul(
-                    b.reduce_mod(q_new)
+                assert reduce(group_mul(a, b, q), q_new) == group_mul(
+                    reduce(a, q_new), reduce(b, q_new), q_new
                 )
+
+
+def sanov(q: int) -> GeneratorSet:
+    return generators_from_recipe("sanov", q)
+
+
+def elementary(q: int) -> GeneratorSet:
+    return generators_from_recipe("elementary", q)
 
 
 class TestGeneratorSets:
     def test_sanov_q3_four_elements(self):
-        gs = sanov_generators(3)
+        gs = sanov(3)
         assert len(gs.elements) == 4
         assert len(set(gs.elements)) == 4
+        assert gs.modulus == 3
 
     def test_sanov_q5_exact_set(self):
-        gs = sanov_generators(5)
-        entries = {e.entries for e in gs.elements}
-        assert entries == {
-            ((1, 2), (0, 1)),
-            ((1, 0), (2, 1)),
-            ((1, 3), (0, 1)),
-            ((1, 0), (3, 1)),
+        assert set(sanov(5).elements) == {
+            (1, 2, 0, 1),
+            (1, 0, 2, 1),
+            (1, 3, 0, 1),
+            (1, 0, 3, 1),
         }
 
     def test_sanov_q2_rejected(self):
-        with pytest.raises(ValueError, match="q >= 3"):
-            sanov_generators(2)
+        with pytest.raises(ValueError, match="collapses"):
+            sanov(2)
+
+    def test_modulus_checked(self):
+        for q in (1, 0, -3):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                transvection_generators(q, 1)
+
+    def test_transvection_power_checked(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            transvection_generators(5, 0)
 
     def test_symmetrized_closed_under_inverse(self):
-        for gs in (sanov_generators(7), elementary_generators(9)):
+        for gs in (sanov(7), elementary(9)):
             elems = set(gs.elements)
-            assert all(e.inv() in elems for e in elems)
-            assert not any(e.is_identity() for e in elems)
+            q = gs.modulus
+            assert all(group_inv(e, q) in elems for e in elems)
+            assert not any(e == IDENT for e in elems)
+
+    def test_make_symmetric_reduces_drops_identity_dedupes(self):
+        gs = make_symmetric([(6, 1, 5, 1), (1, 0, 0, 1), (1, 1, 0, 1), (1, 6, 0, 1)], 5)
+        assert gs.core == ((1, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 0, 1))
+        assert gs.elements == ((1, 1, 0, 1), (1, 4, 0, 1))
+        with pytest.raises(ValueError, match="not in SL"):
+            make_symmetric([(2, 0, 0, 1)], 5)
 
     def test_product_twisted_count(self):
-        gs = product_generators(sanov_generators(3), "twisted")
+        gs = product_generators(sanov(3), "twisted")
         assert len(gs.elements) == 4
-        assert all(isinstance(e, ProductElement) for e in gs.elements)
+        assert all(len(e) == 8 for e in gs.elements)
+        assert gs.modulus == 3
 
     def test_product_unknown_pairing(self):
         with pytest.raises(ValueError, match="pairing"):
-            product_generators(sanov_generators(3), "zigzag")
+            product_generators(sanov(3), "zigzag")
 
 
 class TestCayleyGraph:
     def test_elementary_q3_full_group(self):
-        res = cayley_graph(elementary_generators(3))
+        res = cayley_graph(elementary(3))
         assert res.reached_order == 24
         assert res.full_group_order == 24
         assert res.graph.max_degree == 4
         assert all(res.graph.degree(v) == 4 for v in range(res.graph.n))
 
     def test_elementary_q2_order6(self):
-        res = cayley_graph(elementary_generators(2))
+        res = cayley_graph(elementary(2))
         assert res.reached_order == 6
 
     def test_elementary_q5_order120(self):
-        res = cayley_graph(elementary_generators(5))
+        res = cayley_graph(elementary(5))
         assert res.reached_order == 120 == sl2_order(5)
 
     def test_sanov_q9_order(self):
-        res = cayley_graph(sanov_generators(9))
+        res = cayley_graph(sanov(9))
         assert res.reached_order == 648 == sl2_order(9)
 
     def test_order_cap(self):
         with pytest.raises(ComputationRefused, match="too large"):
-            cayley_graph(sanov_generators(9), order_cap=100)
+            cayley_graph(sanov(9), order_cap=100)
+
+    def test_bad_generator_sets(self):
+        with pytest.raises(ValueError, match="empty"):
+            cayley_graph(GeneratorSet(elements=(), core=(), modulus=5))
+        with pytest.raises(ValueError, match="identity"):
+            cayley_graph(GeneratorSet(elements=(IDENT,), core=(IDENT,), modulus=5))
 
     def test_diagonal_product_reaches_diagonal_copy(self):
-        res = cayley_graph(product_generators(sanov_generators(3), "diagonal"))
+        res = cayley_graph(product_generators(sanov(3), "diagonal"))
         assert res.reached_order == 24
         assert res.full_group_order == 576
 
     def test_mixed_product_order_reported(self):
-        res = cayley_graph(product_generators(elementary_generators(3), "mixed"))
+        res = cayley_graph(product_generators(elementary(3), "mixed"))
         assert res.full_group_order == 576
         assert 1 <= res.reached_order <= 576
 
@@ -177,7 +197,7 @@ class TestCayleyGraph:
         # on a sample of vertices
         from expanderlab.graphcore import bfs_distances
 
-        res = cayley_graph(elementary_generators(5))
+        res = cayley_graph(elementary(5))
         g = res.graph
         base = sorted(bfs_distances(g.adj, 0))
         stream = Stream(99)
@@ -187,9 +207,16 @@ class TestCayleyGraph:
             assert sorted(bfs_distances(g.adj, v)) == base
 
     def test_labels_are_row_major_entries(self):
-        res = cayley_graph(elementary_generators(3))
+        res = cayley_graph(elementary(3))
         assert res.labels[0] == "1 0 0 1"  # identity is vertex 0
         assert len(res.labels) == 24
+
+    def test_product_labels_join_block_labels(self):
+        left = cayley_graph(sanov(3))
+        res = cayley_graph(product_generators(sanov(3), "diagonal"))
+        assert res.labels[0] == "1 0 0 1 1 0 0 1"
+        # the diagonal copy: each vertex is (g, g), found in the same BFS order
+        assert res.labels == tuple(f"{x} {x}" for x in left.labels)
 
 
 class TestRecipes:
@@ -197,27 +224,25 @@ class TestRecipes:
         assert len(generators_from_recipe("sanov", 5).elements) == 4
         assert len(generators_from_recipe("elementary", 5).elements) == 4
         gs = generators_from_recipe("product:twisted", 3)
-        assert isinstance(gs.elements[0], ProductElement)
+        assert len(gs.elements[0]) == 8
         gs = generators_from_recipe("product:diagonal:elementary", 3)
-        assert isinstance(gs.elements[0], ProductElement)
+        assert len(gs.elements[0]) == 8
 
     def test_transvections_default_is_sanov(self):
-        from expanderlab.matgroups import transvection_generators
-
-        assert set(generators_from_recipe("transvections", 7).elements) == set(
-            sanov_generators(7).elements
-        )
-        assert set(transvection_generators(7, 1).elements) == set(
-            elementary_generators(7).elements
-        )
+        for q in (3, 7, 9):
+            assert generators_from_recipe("elementary", q) == transvection_generators(q, 1)
+            assert generators_from_recipe("sanov", q) == transvection_generators(q, 2)
+            assert generators_from_recipe("transvections", q) == transvection_generators(q, 2)
         gs = generators_from_recipe("transvections:3", 7)
-        assert {e.entries for e in gs.core} == {((1, 3), (0, 1)), ((1, 0), (3, 1))}
+        assert set(gs.core) == {(1, 3, 0, 1), (1, 0, 3, 1)}
         with pytest.raises(ValueError, match="collapses"):
             transvection_generators(3, 3)
 
     def test_unknown_recipe(self):
         with pytest.raises(ValueError, match="recipe"):
             generators_from_recipe("lps", 5)
+        with pytest.raises(ValueError, match="nest"):
+            generators_from_recipe("product:twisted:product", 5)
 
     def test_cayley_from_recipe_level(self):
         res = cayley_from_recipe("sanov", 3, 2)
@@ -235,9 +260,15 @@ class TestTower:
 
     def test_single_level_matches_direct(self):
         rows = girth_tower_report(3, 1, recipe="sanov")
-        res = cayley_graph(sanov_generators(3))
+        res = cayley_graph(sanov(3))
         assert rows[0].vertices == res.graph.n
         assert rows[0].girth == metrics.girth(res.graph)
+
+    def test_girth_drop_at_equal_degree_raises(self, monkeypatch):
+        falling = iter([6, 4])
+        monkeypatch.setattr(metrics, "girth", lambda g: next(falling))
+        with pytest.raises(RuntimeError, match="not monotone"):
+            girth_tower_report(3, 2, recipe="sanov")
 
 
 class TestOrders:

@@ -212,6 +212,11 @@ class TestSearch:
         res = search_spanning_subexpander(host, ratio=2.0, strategy="trim", budget=10, seed=0)
         assert res.girth_achieved == 10  # target ceil(2*5)=10, C10 already meets it
 
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, 0.0, -1.0, None])
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="ratio"):
+            search_spanning_subexpander(cycle(10), ratio=ratio, strategy="trim", budget=10, seed=0)
+
     def test_errors(self):
         host = cycle(6)
         with pytest.raises(ValueError, match="strategy"):
