@@ -19,6 +19,7 @@ from expanderlab import cli
 
 RR16 = "random-regular:n=16,d=3,seed=2"
 RR128 = "random-regular:n=128,d=4,seed=7"
+RR256 = "random-regular:n=256,d=4,seed=1"
 POWER32 = "power:k=2,inner=(random-regular:n=32,d=3,seed=2)"
 
 CASES = {
@@ -26,7 +27,7 @@ CASES = {
         [
             "probe",
             "--family", "random-regular:n=64,d=4,seed=1",
-            "--family", "random-regular:n=256,d=4,seed=1",
+            "--family", RR256,
             "--family", POWER32,
             "--family", "cayley:recipe=elementary,p=5",
             "--ratios", "0.5,1.0",
@@ -60,6 +61,21 @@ CASES = {
                 ("percolate-repair", "4", "4"),
                 ("anneal", "4", "4"),
                 ("anneal", "3", "7"),
+            )
+        ),
+    ],
+    "search-large": [
+        ["gen", RR256, "-o", "rr256.el"],
+        ["gen", "cayley:recipe=elementary,p=7", "-o", "sl2_7.el"],
+        *(
+            ["search", host, "--girth", girth, "--strategy", strategy,
+             "--budget", "300", "--seed", "5", "-o", f"{name}.el",
+             "--report", f"{name}.json"]
+            for name, host, strategy, girth in (
+                ("rr256-percolate-repair-5", "rr256.el", "percolate-repair", "5"),
+                ("rr256-percolate-repair-7", "rr256.el", "percolate-repair", "7"),
+                ("rr256-anneal-5", "rr256.el", "anneal", "5"),
+                ("sl2_7-anneal-8", "sl2_7.el", "anneal", "8"),
             )
         ),
     ],
@@ -160,6 +176,30 @@ GOLDEN = {
             "78f0a9234dba8a2a1403bd807680aaddd5c382c8866542978f181def8d32e835",
         "trim-5.json":
             "2a0aa586d80e75086806cf06eebac31ab572ed20741010eebf73e2e091b26211",
+    },
+    "search-large": {
+        "rr256-anneal-5.el":
+            "e8e327a3015be29ba23dcc44fe7ffa7e1fb0b1260b52bb30a871080cc6aea4e8",
+        "rr256-anneal-5.json":
+            "3f8ebb6278914621b2078564be3ec65af083d0f85451cf386bca7fbdd1f6b3d1",
+        "rr256-percolate-repair-5.el":
+            "59c5359c122d753265e10955484a65a911852114e365272b79f595cd2705f12d",
+        "rr256-percolate-repair-5.json":
+            "0b102b974843b9ea744d48196206ad5cbc01d60e64eb1ba887f2372ae77c6fae",
+        "rr256-percolate-repair-7.el":
+            "69970d029024bbe3e87cbe8a7bfe1a87158d30c94c7cb8203201d21495f0581e",
+        "rr256-percolate-repair-7.json":
+            "1cfec7944400632271105a2f4bd85c365bcd15b2454156744825cfc2605d03f4",
+        "rr256.el":
+            "16f97aa502f032da824e454d7d8900210ebb44e4fe112179db536abf5b5da9c2",
+        "sl2_7-anneal-8.el":
+            "dabc4ae445e6ea223392001397f4a171270304f4055234ac2d4eb96e528dc166",
+        "sl2_7-anneal-8.json":
+            "7290a44032ba487941c59972e656f7936153c7e14c8f1b65895de6d7ed5a044c",
+        "sl2_7.el":
+            "dd59e22d83004b5fc46595cd400d65ee5ccb1b2b3b6c9e93f2d7c600c833704a",
+        "sl2_7.el.labels":
+            "c69e401cd9549c87a95f3f9860ac746cd68095e10d2aaa49900aae66da22c5e4",
     },
     "sweep-measure": {
         "rr128.el":
