@@ -113,23 +113,19 @@ def bfs_distances(
     adj: Sequence[Iterable[int]],
     source: int,
     *,
-    target: Optional[int] = None,
     max_depth: Optional[int] = None,
 ) -> list[int]:
     """Unweighted distances from `source` over an adjacency sequence.
 
     `adj` is `Graph.adj` or any working adjacency (lists or sets). The BFS
-    stops as soon as `target` is labelled, or after `max_depth` layers;
-    every vertex it did not label holds UNREACHABLE.
+    stops after `max_depth` layers; every vertex it did not label holds
+    UNREACHABLE.
     """
     n = len(adj)
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for n={n}")
     dist = [UNREACHABLE] * n
     dist[source] = 0
-    if source == target:
-        return dist
-    stop = -1 if target is None else target
     depth_cap = n if max_depth is None else max_depth
     frontier = [source]
     d = 0
@@ -140,11 +136,62 @@ def bfs_distances(
             for v in adj[u]:
                 if dist[v] < 0:
                     dist[v] = d
-                    if v == stop:
-                        return dist
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def pair_distance(
+    adj: Sequence[Iterable[int]], s: int, t: int, max_depth: Optional[int] = None
+) -> int:
+    """Distance from `s` to `t`, or UNREACHABLE if it exceeds `max_depth`.
+
+    Bidirectional BFS (Pohl): each step grows the smaller frontier by one
+    full layer, so the two radii rs, rt sum to one more per step and the
+    first vertex labelled from both sides closes a shortest path. The search
+    gives up when either frontier runs dry (s and t are disconnected) or
+    when rs + rt reaches `max_depth`. `adj` is as for `bfs_distances`.
+    """
+    n = len(adj)
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"pair ({s}, {t}) out of range for n={n}")
+    if s == t:
+        return 0
+    # mark[v] is 1 + dist from s, -(1 + dist from t), or 0 if unlabelled
+    mark = [0] * n
+    mark[s] = 1
+    mark[t] = -1
+    fs, ft = [s], [t]
+    rs = rt = 0
+    cap = n if max_depth is None else max_depth
+    while fs and ft and rs + rt < cap:
+        if len(fs) <= len(ft):
+            nxt = []
+            label = rs + 2
+            for u in fs:
+                for v in adj[u]:
+                    m = mark[v]
+                    if m == 0:
+                        mark[v] = label
+                        nxt.append(v)
+                    elif m < 0:
+                        return rs - m
+            fs = nxt
+            rs += 1
+        else:
+            nxt = []
+            label = -(rt + 2)
+            for u in ft:
+                for v in adj[u]:
+                    m = mark[v]
+                    if m == 0:
+                        mark[v] = label
+                        nxt.append(v)
+                    elif m > 0:
+                        return rt + m
+            ft = nxt
+            rt += 1
+    return UNREACHABLE
 
 
 def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf):

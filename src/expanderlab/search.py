@@ -24,11 +24,12 @@ from typing import Iterable, Optional, Sequence
 
 from .builders import FamilySpec, base_family_id, build_family, canonical_spec_string
 from .graphcore import (
+    UNREACHABLE,
     Graph,
-    bfs_distances,
     edge_subgraph,
     from_edges,
     is_connected,
+    pair_distance,
     shortest_cycle_scan,
 )
 from .metrics import (
@@ -189,7 +190,12 @@ def augment_edges(
     so every cycle it creates has length >= girth_floor. Candidates are
     processed by decreasing current distance (unreachable first, ties
     lexicographic), until the budget is spent or none qualify. Distances only
-    shrink as edges arrive, so a lazy max-heap with re-validation is exact.
+    shrink as edges arrive, so a lazy max-heap with re-validation is exact,
+    and a pair already closer than the floor is never queued. A popped pair
+    is re-measured by a bidirectional BFS capped at depth stored - 1: the
+    current distance is at most the stored one, so finding nothing within
+    that depth means it still equals the stored one, and the deepest layer
+    is never expanded.
     """
     if girth_floor < 3:
         raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
@@ -199,31 +205,26 @@ def augment_edges(
     for u, v in kept:
         adj[u].append(v)
         adj[v].append(u)
-    candidates = [e for e in host.edges() if e not in kept]
-    by_source: dict[int, list[int]] = {}
-    for u, v in candidates:
-        by_source.setdefault(u, []).append(v)
-
-    def sub_dist(u: int, v: int) -> float:
-        d = bfs_distances(adj, u, target=v)[v]
-        return d if d >= 0 else math.inf
-
+    need = girth_floor - 1
     heap = []
-    for u in sorted(by_source):
-        for v in by_source[u]:
-            heap.append((-sub_dist(u, v), u, v))
+    for u, v in host.edges():
+        if (u, v) not in kept:
+            d = pair_distance(adj, u, v)
+            if d == UNREACHABLE:
+                heap.append((-math.inf, u, v))
+            elif d >= need:
+                heap.append((-d, u, v))
     heapq.heapify(heap)
     adds = 0
     while heap and adds < budget:
         neg, u, v = heapq.heappop(heap)
         stored = -neg
-        cur = sub_dist(u, v)
+        d = pair_distance(adj, u, v, None if stored == math.inf else stored - 1)
+        cur = stored if d == UNREACHABLE else d
         if cur < stored:
-            if cur >= girth_floor - 1:
+            if cur >= need:
                 heapq.heappush(heap, (-cur, u, v))
             continue  # else: can never qualify again — drop
-        if cur < girth_floor - 1:
-            continue
         kept.add((u, v))
         adj[u].append(v)
         adj[v].append(u)
@@ -244,13 +245,6 @@ class SearchResult:
     strategy: str
     seed: int
     iterations_used: int
-
-
-def _components(n: int, edges) -> int:
-    ds = DisjointSet(n)
-    for u, v in edges:
-        ds.union(u, v)
-    return ds.count
 
 
 def _capped_girth(adj, n: int, cap: int) -> int:
@@ -275,15 +269,24 @@ def _anneal(
     A state must beat the incumbent best on the surrogate objective and then
     on an exactly recomputed one to be retained, so the best is monotone
     under one consistent objective.
+
+    The component count is counted once and then kept up to date per move:
+    removing uv adds a component exactly when uv is a bridge (no path joins
+    u and v without it), and adding uv merges two only when there is more
+    than one component and u and v are not yet joined. Both are pair
+    distances, so no move copies the edge set or rebuilds a union-find.
     """
     n = host.n
     host_edges = list(host.edges())
     stream = Stream(split(seed, _PHASE_ANNEAL))
     kept = set(init_kept)
     adj: list[set[int]] = [set() for _ in range(n)]
+    ds = DisjointSet(n)
     for u, v in kept:
         adj[u].add(v)
         adj[v].add(u)
+        ds.union(u, v)
+    comp = ds.count
     deg = [len(a) for a in adj]
     sum_deg = sum(deg)
     sum_sq = sum(d * d for d in deg)
@@ -292,15 +295,14 @@ def _anneal(
         mean = sum_deg / n
         return sum_sq / n - mean * mean
 
-    def exact_gap(edges) -> float:
-        if _components(n, edges) > 1 or n < 2:
+    def exact_gap(components: int) -> float:
+        if components > 1 or n < 2:
             return 0.0
-        return spectrum(edge_subgraph(host, edges)).gap
+        return spectrum(edge_subgraph(host, kept)).gap
 
     g_capped = _capped_girth(adj, n, girth_target)
-    comp = _components(n, kept)
 
-    ref_gap = exact_gap(kept)
+    ref_gap = exact_gap(comp)
     ref_degvar = degvar()
 
     def objective(gap_est: float, capped: int, components: int) -> float:
@@ -326,22 +328,21 @@ def _anneal(
         u, v = host_edges[stream.randrange(len(host_edges))]
         removing = (u, v) in kept
         if removing:
-            cand_edges = kept - {(u, v)}
-            cand_comp = _components(n, cand_edges)
+            adj[u].discard(v)
+            adj[v].discard(u)
+            cand_comp = comp + (pair_distance(adj, u, v) == UNREACHABLE)
             if g_capped >= girth_target:
                 cand_capped = g_capped  # removal never shrinks girth
             else:
-                adj[u].discard(v)
-                adj[v].discard(u)
                 cand_capped = _capped_girth(adj, n, girth_target)
-                adj[u].add(v)
-                adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
             d_sumdeg, d_sumsq = -2, 2 - 2 * (deg[u] + deg[v])
         else:
-            cand_edges = kept | {(u, v)}
-            cand_comp = _components(n, cand_edges)
-            d = bfs_distances(adj, u, target=v, max_depth=girth_target - 2)[v]
+            d = pair_distance(adj, u, v, girth_target - 2)
             cand_capped = min(g_capped, d + 1) if d >= 0 else g_capped
+            merges = comp > 1 and d < 0 and pair_distance(adj, u, v) == UNREACHABLE
+            cand_comp = comp - merges
             d_sumdeg, d_sumsq = 2, 2 + 2 * (deg[u] + deg[v])
         cand_sumdeg = sum_deg + d_sumdeg
         cand_sumsq = sum_sq + d_sumsq
@@ -367,12 +368,12 @@ def _anneal(
             cur_obj = cand_obj
             accepted += 1
             if accepted % _ANNEAL_RECOMPUTE_EVERY == 0:
-                ref_gap = exact_gap(kept)
+                ref_gap = exact_gap(comp)
                 ref_degvar = degvar()
                 cur_obj = objective(ref_gap, g_capped, comp)
             if cur_obj > best_est_obj:
                 best_est_obj = cur_obj
-                exact_obj = objective(exact_gap(kept), g_capped, comp)
+                exact_obj = objective(exact_gap(comp), g_capped, comp)
                 if exact_obj > best_exact_obj:
                     best_exact_obj = exact_obj
                     best_kept = frozenset(kept)
@@ -514,7 +515,8 @@ def conjecture_probe(
     (connected + girth), else the highest girth reached. Diameter-1 hosts are
     flagged degenerate and skipped in the per-family summaries, which report
     the min-over-instances winning gap per ratio (the empirical f estimate)
-    and whether girth grew with instance size.
+    and whether girth grew with instance size. A repeated ratio, strategy or
+    instance (by canonical spec) is rejected, since it would repeat a cell.
     """
     for s in strategies:
         if s not in STRATEGIES:
@@ -523,6 +525,13 @@ def conjecture_probe(
         raise ValueError("need at least one family spec and one ratio")
     for c in ratios:
         _check_ratio(c)
+    instances = [canonical_spec_string(spec) for spec in specs]
+    for what, items in (("ratio", ratios), ("strategy", strategies), ("instance", instances)):
+        seen = set()
+        for x in items:
+            if x in seen:
+                raise ValueError(f"repeated {what} {x!r}")
+            seen.add(x)
 
     hosts = []
     for spec in specs:

@@ -3,16 +3,32 @@
 Everything here deliberately avoids the implementation paths it checks:
 subset enumeration uses itertools and Python sets (not bitmask DP), girth
 uses the edge-removal method (not the layered BFS scan), diameter uses
-Floyd-Warshall (not repeated BFS).
+Floyd-Warshall (not repeated BFS). The search references at the end are the
+plain versions of `augment_edges` and `_anneal`: one target-stopped BFS per
+distance and a fresh union-find per component count.
 """
 
+import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
-from expanderlab.graphcore import Graph, from_edges
+from expanderlab.graphcore import UNREACHABLE, Graph, edge_subgraph, from_edges
+from expanderlab.metrics import spectrum
 from expanderlab.percolation import DisjointSet
-from expanderlab.rng import Stream
+from expanderlab.rng import Stream, split
+from expanderlab.search import (
+    _ANNEAL_PENALTY,
+    _ANNEAL_PENALTY_DISC,
+    _ANNEAL_RECOMPUTE_EVERY,
+    _ANNEAL_SURROGATE_WEIGHT,
+    _ANNEAL_T0,
+    _ANNEAL_T_END_RATIO,
+    _PHASE_ANNEAL,
+    _capped_girth,
+    _normalize_subset,
+)
 
 
 def brute_cheeger(g: Graph) -> Fraction:
@@ -147,3 +163,205 @@ def random_connected_graph(n: int, seed: int, extra_edges: int = 0) -> Graph:
             edges.add(e)
             extra_edges -= 1
     return from_edges(n, edges)
+
+
+# --- search references ----------------------------------------------------
+
+
+def bfs_distances(
+    adj: Sequence[Iterable[int]],
+    source: int,
+    *,
+    target: Optional[int] = None,
+    max_depth: Optional[int] = None,
+) -> list[int]:
+    """Distances from `source`, stopping once `target` is labelled or after
+    `max_depth` layers; unlabelled vertices hold UNREACHABLE."""
+    n = len(adj)
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range for n={n}")
+    dist = [UNREACHABLE] * n
+    dist[source] = 0
+    if source == target:
+        return dist
+    stop = -1 if target is None else target
+    depth_cap = n if max_depth is None else max_depth
+    frontier = [source]
+    d = 0
+    while frontier and d < depth_cap:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    if v == stop:
+                        return dist
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def _components(n: int, edges) -> int:
+    ds = DisjointSet(n)
+    for u, v in edges:
+        ds.union(u, v)
+    return ds.count
+
+
+def augment_edges_reference(
+    host: Graph,
+    sub: Iterable[tuple[int, int]],
+    girth_floor: int,
+    budget: int,
+) -> frozenset[tuple[int, int]]:
+    """`search.augment_edges` with one target-stopped BFS per distance."""
+    if girth_floor < 3:
+        raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
+    kept = _normalize_subset(host, sub)
+    n = host.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in kept:
+        adj[u].append(v)
+        adj[v].append(u)
+    candidates = [e for e in host.edges() if e not in kept]
+    by_source: dict[int, list[int]] = {}
+    for u, v in candidates:
+        by_source.setdefault(u, []).append(v)
+
+    def sub_dist(u: int, v: int) -> float:
+        d = bfs_distances(adj, u, target=v)[v]
+        return d if d >= 0 else math.inf
+
+    heap = []
+    for u in sorted(by_source):
+        for v in by_source[u]:
+            heap.append((-sub_dist(u, v), u, v))
+    heapq.heapify(heap)
+    adds = 0
+    while heap and adds < budget:
+        neg, u, v = heapq.heappop(heap)
+        stored = -neg
+        cur = sub_dist(u, v)
+        if cur < stored:
+            if cur >= girth_floor - 1:
+                heapq.heappush(heap, (-cur, u, v))
+            continue  # else: can never qualify again — drop
+        if cur < girth_floor - 1:
+            continue
+        kept.add((u, v))
+        adj[u].append(v)
+        adj[v].append(u)
+        adds += 1
+    return frozenset(kept)
+
+
+def anneal_reference(
+    host: Graph,
+    girth_target: int,
+    budget: int,
+    seed: int,
+    init_kept: frozenset[tuple[int, int]],
+) -> frozenset[tuple[int, int]]:
+    """`search._anneal` with a fresh union-find for every component count."""
+    n = host.n
+    host_edges = list(host.edges())
+    stream = Stream(split(seed, _PHASE_ANNEAL))
+    kept = set(init_kept)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in kept:
+        adj[u].add(v)
+        adj[v].add(u)
+    deg = [len(a) for a in adj]
+    sum_deg = sum(deg)
+    sum_sq = sum(d * d for d in deg)
+
+    def degvar() -> float:
+        mean = sum_deg / n
+        return sum_sq / n - mean * mean
+
+    def exact_gap(edges) -> float:
+        if _components(n, edges) > 1 or n < 2:
+            return 0.0
+        return spectrum(edge_subgraph(host, edges)).gap
+
+    g_capped = _capped_girth(adj, n, girth_target)
+    comp = _components(n, kept)
+
+    ref_gap = exact_gap(kept)
+    ref_degvar = degvar()
+
+    def objective(gap_est: float, capped: int, components: int) -> float:
+        return (
+            gap_est
+            - _ANNEAL_PENALTY * max(0, girth_target - capped)
+            - _ANNEAL_PENALTY_DISC * (components - 1)
+        )
+
+    cur_obj = objective(ref_gap, g_capped, comp)
+    best_kept = frozenset(kept)
+    best_exact_obj = cur_obj
+    best_est_obj = cur_obj
+
+    if budget <= 0:
+        return best_kept
+
+    alpha = _ANNEAL_T_END_RATIO ** (1.0 / budget)
+    temp = _ANNEAL_T0
+    accepted = 0
+    for _ in range(budget):
+        temp *= alpha
+        u, v = host_edges[stream.randrange(len(host_edges))]
+        removing = (u, v) in kept
+        if removing:
+            cand_edges = kept - {(u, v)}
+            cand_comp = _components(n, cand_edges)
+            if g_capped >= girth_target:
+                cand_capped = g_capped  # removal never shrinks girth
+            else:
+                adj[u].discard(v)
+                adj[v].discard(u)
+                cand_capped = _capped_girth(adj, n, girth_target)
+                adj[u].add(v)
+                adj[v].add(u)
+            d_sumdeg, d_sumsq = -2, 2 - 2 * (deg[u] + deg[v])
+        else:
+            cand_edges = kept | {(u, v)}
+            cand_comp = _components(n, cand_edges)
+            d = bfs_distances(adj, u, target=v, max_depth=girth_target - 2)[v]
+            cand_capped = min(g_capped, d + 1) if d >= 0 else g_capped
+            d_sumdeg, d_sumsq = 2, 2 + 2 * (deg[u] + deg[v])
+        cand_sumdeg = sum_deg + d_sumdeg
+        cand_sumsq = sum_sq + d_sumsq
+        cand_degvar = cand_sumsq / n - (cand_sumdeg / n) ** 2
+        gap_est = ref_gap - _ANNEAL_SURROGATE_WEIGHT * (cand_degvar - ref_degvar)
+        cand_obj = objective(gap_est, cand_capped, cand_comp)
+        delta = cand_obj - cur_obj
+        if delta >= 0 or stream.uniform() < math.exp(delta / temp):
+            if removing:
+                kept.discard((u, v))
+                adj[u].discard(v)
+                adj[v].discard(u)
+                deg[u] -= 1
+                deg[v] -= 1
+            else:
+                kept.add((u, v))
+                adj[u].add(v)
+                adj[v].add(u)
+                deg[u] += 1
+                deg[v] += 1
+            sum_deg, sum_sq = cand_sumdeg, cand_sumsq
+            g_capped, comp = cand_capped, cand_comp
+            cur_obj = cand_obj
+            accepted += 1
+            if accepted % _ANNEAL_RECOMPUTE_EVERY == 0:
+                ref_gap = exact_gap(kept)
+                ref_degvar = degvar()
+                cur_obj = objective(ref_gap, g_capped, comp)
+            if cur_obj > best_est_obj:
+                best_est_obj = cur_obj
+                exact_obj = objective(exact_gap(kept), g_capped, comp)
+                if exact_obj > best_exact_obj:
+                    best_exact_obj = exact_obj
+                    best_kept = frozenset(kept)
+    return best_kept

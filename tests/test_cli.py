@@ -272,6 +272,22 @@ class TestExitCodes:
             assert run(["tower", "--p", 3, "--levels", levels, "-o", out]) == cli.EXIT_INPUT
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--ratios", "0.5,0.5", "--strategies", "trim"],
+            ["--ratios", "0.5", "--strategies", "trim,trim"],
+            ["--ratios", "0.5", "--strategies", "trim",
+             "--family", "random-regular:n=20,d=3,seed=1"],
+        ],
+    )
+    def test_probe_repeated_input_is_2(self, tmp_path, extra):
+        out = tmp_path / "probe"
+        code = run(["probe", "--family", "random-regular:n=20,d=3,seed=1", *extra,
+                    "--out-dir", out])
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+
     @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "-1"])
     def test_bad_ratio_is_2(self, tmp_path, ratio):
         host = tmp_path / "c10.el"

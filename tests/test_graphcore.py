@@ -14,6 +14,7 @@ from expanderlab.graphcore import (
     induced_ball,
     induced_subgraph,
     is_connected,
+    pair_distance,
     read_edge_list_text,
     shortest_cycle_scan,
     to_edge_list,
@@ -100,28 +101,65 @@ class TestBfs:
             for v in range(1, g.n):
                 assert any(dist[w] == dist[v] - 1 for w in g.adj[v])
 
-    def test_target_and_depth_agree_with_full_bfs(self):
-        # a stopped or depth-capped BFS labels a subset of the vertices, each
-        # with its true distance, and none beyond max_depth
+    def test_depth_agrees_with_full_bfs(self):
+        # a depth-capped BFS labels exactly the vertices within max_depth,
+        # each with its true distance
         for seed in range(8):
             g = random_connected_graph(16, 300 + seed, extra_edges=seed)
             g = from_edges(18, list(g.edges()))  # two isolated vertices
             working = [set(a) for a in g.adj]
             for source in range(0, g.n, 3):
                 full = bfs_distances(g.adj, source)
-                for target in (None, *range(g.n)):
-                    for max_depth in (None, 0, 1, 2, 3, 5):
-                        dist = bfs_distances(
-                            working, source, target=target, max_depth=max_depth
-                        )
-                        cap = math.inf if max_depth is None else max_depth
-                        for v in range(g.n):
-                            if dist[v] != UNREACHABLE:
-                                assert dist[v] == full[v] <= cap
-                            elif target is None:
-                                assert full[v] == UNREACHABLE or full[v] > cap
-                        if target is not None and 0 <= full[target] <= cap:
-                            assert dist[target] == full[target]
+                for max_depth in (None, 0, 1, 2, 3, 5):
+                    dist = bfs_distances(working, source, max_depth=max_depth)
+                    cap = math.inf if max_depth is None else max_depth
+                    for v in range(g.n):
+                        if dist[v] != UNREACHABLE:
+                            assert dist[v] == full[v] <= cap
+                        else:
+                            assert full[v] == UNREACHABLE or full[v] > cap
+
+
+class TestPairDistance:
+    def graphs(self):
+        # connected hosts, then two components plus isolated vertices
+        for seed in range(12):
+            yield random_connected_graph(14, 700 + seed, extra_edges=seed % 6)
+        for seed in range(12):
+            a = random_connected_graph(9, 800 + seed, extra_edges=seed % 4)
+            b = random_connected_graph(7, 900 + seed, extra_edges=seed % 3)
+            edges = list(a.edges()) + [(u + 9, v + 9) for u, v in b.edges()]
+            yield from_edges(18, edges)
+
+    def test_agrees_with_full_bfs_at_every_depth(self):
+        for g in self.graphs():
+            for adj in (g.adj, [list(a) for a in g.adj], [set(a) for a in g.adj]):
+                for s in range(g.n):
+                    full = bfs_distances(g.adj, s)
+                    for t in range(g.n):
+                        want = full[t]
+                        assert pair_distance(adj, s, t) == want
+                        for max_depth in range(g.n + 1):
+                            capped = want if 0 <= want <= max_depth else UNREACHABLE
+                            assert pair_distance(adj, s, t, max_depth) == capped
+
+    def test_same_vertex_is_zero_at_depth_zero(self):
+        g = cycle(6)
+        for v in range(6):
+            assert pair_distance(g.adj, v, v, 0) == 0
+            assert pair_distance(g.adj, v, v) == 0
+
+    def test_disconnected_pair_unreachable(self):
+        g = from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert pair_distance(g.adj, 0, 4) == UNREACHABLE
+        assert pair_distance(g.adj, 2, 6) == UNREACHABLE
+        assert pair_distance(g.adj, 6, 0, 10) == UNREACHABLE
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            pair_distance(cycle(4).adj, 0, 4)
+        with pytest.raises(ValueError):
+            pair_distance(cycle(4).adj, -1, 0)
 
 
 class TestShortestCycleScan:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanderlab import metrics
 from expanderlab.builders import (
@@ -25,7 +27,7 @@ from expanderlab.search import (
     shortest_cycle,
     trim_to_girth,
 )
-from oracles import random_connected_graph
+from oracles import anneal_reference, augment_edges_reference, random_connected_graph
 
 
 def cycle(n):
@@ -183,6 +185,42 @@ class TestAugment:
     def test_bad_floor(self):
         with pytest.raises(ValueError):
             augment_edges(cycle(5), set(), 2, 1)
+
+
+@st.composite
+def _host_and_subset(draw):
+    """A random connected host and a percolated subset of its edges.
+
+    At p = 0 or 0.2 the subset is usually disconnected, so some candidate
+    pairs start out unreachable.
+    """
+    seed = draw(st.integers(0, 2**31 - 1))
+    host = random_connected_graph(
+        draw(st.integers(6, 26)), seed, extra_edges=draw(st.integers(0, 40))
+    )
+    return host, percolate(host, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), seed).retained
+
+
+class TestAgainstReferences:
+    """The incremental search state gives the same sets as the plain versions."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 80))
+    def test_augment_edges(self, host_sub, floor, budget):
+        # budgets run from 0 to well above the candidate count (m <= 65)
+        host, sub = host_sub
+        assert augment_edges(host, sub, floor, budget) == augment_edges_reference(
+            host, sub, floor, budget
+        )
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
+    def test_anneal(self, host_sub, target, budget, seed):
+        host, sub = host_sub
+        init = frozenset(sub)
+        assert _anneal(host, target, budget, seed, init) == anneal_reference(
+            host, target, budget, seed, init
+        )
 
 
 class TestSearch:
@@ -343,6 +381,22 @@ class TestProbe:
         assert rec.success
         gv = rec.best_girth
         assert gv == UNBOUNDED or gv >= rec.girth_target
+
+    @pytest.mark.parametrize(
+        "families, ratios, strategies",
+        [
+            (["random-regular:n=20,d=3,seed=1"], [0.5, 0.5], ("trim",)),
+            (["random-regular:n=20,d=3,seed=1"], [0.5], ("trim", "trim")),
+            (["random-regular:n=20,d=3,seed=1", "random-regular:seed=1,d=3,n=20"],
+             [0.5], ("trim",)),
+        ],
+    )
+    def test_repeated_input_rejected(self, families, ratios, strategies):
+        # a repeat would run one cell twice and score a single instance as two
+        with pytest.raises(ValueError, match="repeated"):
+            conjecture_probe(
+                [parse_family_spec(f) for f in families], ratios, strategies=strategies
+            )
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
