@@ -21,6 +21,7 @@ RR16 = "random-regular:n=16,d=3,seed=2"
 RR128 = "random-regular:n=128,d=4,seed=7"
 RR256 = "random-regular:n=256,d=4,seed=1"
 POWER32 = "power:k=2,inner=(random-regular:n=32,d=3,seed=2)"
+RR1024 = "random-regular:n=1024,d=4,seed=1"
 
 CASES = {
     "probe": [
@@ -95,6 +96,24 @@ CASES = {
         ["tower", "--p", "6", "--levels", "1", "--recipe", "elementary", "-o", "tower6.csv"],
         ["tower", "--p", "3", "--levels", "1", "--recipe", "product:mixed:elementary",
          "-o", "tower_mixed3.csv"],
+    ],
+    "spectrum-boundary": [
+        *(
+            cmd
+            for name, spec in (
+                ("rr1024", RR1024),
+                ("sl2_11", "cayley:recipe=elementary,p=11"),
+                ("rr600", "random-regular:n=600,d=3,seed=2"),
+                ("power1024", f"power:k=2,inner=({RR1024})"),
+            )
+            for cmd in (
+                ["gen", spec, "-o", f"{name}.el"],
+                ["measure", f"{name}.el", "-o", f"{name}.json"],
+            )
+        ),
+        ["search", "rr1024.el", "--ratio", "0.5", "--strategy", "anneal",
+         "--budget", "300", "--seed", "5", "-o", "rr1024-anneal.el",
+         "--report", "rr1024-anneal.json"],
     ],
     "balls": [
         ["gen", "random-regular:n=32,d=3,seed=1", "-o", "rr32.el"],
@@ -200,6 +219,30 @@ GOLDEN = {
             "dd59e22d83004b5fc46595cd400d65ee5ccb1b2b3b6c9e93f2d7c600c833704a",
         "sl2_7.el.labels":
             "c69e401cd9549c87a95f3f9860ac746cd68095e10d2aaa49900aae66da22c5e4",
+    },
+    "spectrum-boundary": {
+        "power1024.el":
+            "7bebcf88169cc6a32f7fdec11a0adf64c2d083e2399ee35a7277a74eb322da00",
+        "power1024.json":
+            "e42af28a4de88a074c62f3129c056d715f7d8511663135515c1edea4259a5c4d",
+        "rr1024-anneal.el":
+            "ba4dd9016a4a266b431336a0519e42a5368c701a2a9eb1596510b215bc69d27d",
+        "rr1024-anneal.json":
+            "0fad98a6b93cae5b02aae8ac0c984db01aeb1f737ba40a9b89a3d9249daab17c",
+        "rr1024.el":
+            "89c318be687c064a51da0e284553f0dd0c79ac00c037fa2ee8d730260042c2d8",
+        "rr1024.json":
+            "c5276da58de3d2062120936a7e391ff86962b7180df729f54509188a955c19c1",
+        "rr600.el":
+            "9122d57a47289b0f6d92b6c0195a0feca1dc8d071e34f80de59aefc30fcb217a",
+        "rr600.json":
+            "5052e3f019800d0e6dec9384eaadedaaec12c557761789d15f7a661d41a9c537",
+        "sl2_11.el":
+            "446cc1e3f992304ab237fa05e0faa83add5f33620efa835ffd5dc02b98e64f09",
+        "sl2_11.el.labels":
+            "8c0a47b1261925ecd277816cb994ff765bfe25a8545eb4a11615c0f5add29be4",
+        "sl2_11.json":
+            "6e1cd1f348b6a469e23733b0a0eefb43806e54f7213ce82789e5358d27fab425",
     },
     "sweep-measure": {
         "rr128.el":
