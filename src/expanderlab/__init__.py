@@ -16,7 +16,6 @@ from .graphcore import (  # noqa: F401
     is_connected,
     load_graph,
     save_graph,
-    to_edge_list,
 )
 from .metrics import (  # noqa: F401
     UNBOUNDED,

@@ -1,10 +1,12 @@
 """Command-line front end: reproducible batch experiments over edge-list files.
 
 Commands: gen, measure, percolate, sweep, trim, search, probe, balls, tower,
-rerun. Every file-writing run also writes a manifest (full argv plus SHA-256
-of each output), and `rerun <manifest>` replays it byte-identically.
+rerun. Every file-writing run also writes a manifest (full argv, SHA-256 of
+each output, and the software environment), and `rerun <manifest>` replays it
+and checks that every output reproduces its recorded SHA-256.
 
-Exit codes: 1 usage, 2 input data, 3 computation refused, 4 internal error.
+Exit codes: 1 usage, 2 input data, 3 computation refused, 4 internal error,
+5 rerun output mismatch.
 Floats in all outputs are printed at 9 significant digits.
 """
 
@@ -14,10 +16,15 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
+
+import numpy
+import scipy
 
 from . import __version__, builders, matgroups, metrics, percolation, search
 from .errors import ComputationRefused
@@ -28,6 +35,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
+EXIT_MISMATCH = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +86,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _environment() -> dict:
+    """What a replay on another machine may differ in: versions, platform, BLAS threads."""
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 def _write_manifest(manifest_path: Path, command: str, argv: list[str], outputs: list[Path]) -> None:
     manifest = {
         "tool": "expanderlab",
@@ -85,6 +105,7 @@ def _write_manifest(manifest_path: Path, command: str, argv: list[str], outputs:
         "command": command,
         "argv": list(argv),
         "outputs": {str(p): _sha256(p) for p in outputs},
+        "environment": _environment(),
     }
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
 
@@ -329,10 +350,16 @@ def _cmd_tower(args) -> int:
 
 def _cmd_rerun(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="ascii"))
-    argv = manifest.get("argv")
-    if not isinstance(argv, list) or not argv:
-        raise ValueError(f"manifest {args.manifest} has no argv to replay")
-    return main(argv)
+    argv, expected = manifest.get("argv"), manifest.get("outputs")
+    if not isinstance(argv, list) or not argv or not isinstance(expected, dict):
+        raise ValueError(f"manifest {args.manifest} has no argv to replay or no outputs to check")
+    code = main(argv)
+    if code != 0:
+        return code
+    mismatched = [p for p, digest in expected.items() if _sha256(Path(p)) != digest]
+    for p in mismatched:
+        print(f"expanderlab: rerun output differs from manifest: {p}", file=sys.stderr)
+    return EXIT_MISMATCH if mismatched else 0
 
 
 # --- parser ----------------------------------------------------------------
@@ -412,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_tower)
 
-    p = sub.add_parser("rerun", help="replay a run from its manifest")
+    p = sub.add_parser("rerun", help="replay a run from its manifest and check output hashes")
     p.add_argument("manifest")
     p.set_defaults(func=_cmd_rerun)
 

@@ -104,11 +104,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return from_edge_list(EdgeList(n=n, edges=tuple(norm)))
 
 
-def to_edge_list(g: Graph) -> EdgeList:
-    """Inverse of from_edge_list; edges come out lexicographically sorted."""
-    return EdgeList(n=g.n, edges=tuple(g.edges()))
-
-
 def bfs_distances(
     adj: Sequence[Iterable[int]],
     source: int,

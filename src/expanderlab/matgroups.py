@@ -265,42 +265,3 @@ def girth_tower_report(
         raise RuntimeError(f"girth not monotone along the tower: {girths}")
     return rows
 
-
-def words_avoid_identity(a_rows, b_rows, max_len: int = 12) -> bool:
-    """Check no reduced word of length <= max_len over {a,b,a^-1,b^-1} hits identity.
-
-    Exact big-integer arithmetic in SL(2,Z); a bounded sanity check for
-    freeness of a candidate pair (freeness itself is not decidable this way).
-    """
-
-    def mul2(x, y):
-        return (
-            (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-            (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-        )
-
-    def inv2(x):
-        det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
-        if det != 1:
-            raise ValueError(f"not in SL(2,Z): det = {det}")
-        return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
-
-    ident = ((1, 0), (0, 1))
-    a = tuple(tuple(r) for r in a_rows)
-    b = tuple(tuple(r) for r in b_rows)
-    gens = [a, b, inv2(a), inv2(b)]
-    inverse_of = [2, 3, 0, 1]
-    # iterative DFS over reduced words
-    stack = [(ident, -1, 0)]
-    while stack:
-        mat, last, depth = stack.pop()
-        if depth == max_len:
-            continue
-        for gi, g in enumerate(gens):
-            if last >= 0 and gi == inverse_of[last]:
-                continue
-            nxt = mul2(mat, g)
-            if nxt == ident:
-                return False
-            stack.append((nxt, gi, depth + 1))
-    return True

@@ -28,16 +28,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ComputationRefused
-from .graphcore import Graph, bfs_distances, induced_ball, is_connected, shortest_cycle_scan
+from .graphcore import Graph, induced_ball, is_connected, shortest_cycle_scan
 
 #: Sentinel for "no cycle" (girth) and "some pair unreachable" (diameter).
 UNBOUNDED = math.inf
 
 DEFAULT_EXACT_MAX = 24
 _EXACT_N_CAP = 26
-_DENSE_EIGEN_LIMIT = 4096
+_DENSE_EIGEN_LIMIT = 512
 _EIGEN_TOL = 1e-9
 _EIGEN_MAX_ITER = 100_000
+#: Sources per pass of the bit-parallel diameter BFS: each per-vertex bitset
+#: list then takes n * _DIAMETER_BLOCK / 8 bytes.
+_DIAMETER_BLOCK = 4096
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
@@ -200,6 +203,10 @@ def _extremes_iterative(g: Graph) -> tuple[float, float]:
     smallest of M itself. Plain block orthogonal iteration was measured to
     contract too slowly here (the spectrum is dense near lambda2 on the big
     Cayley graphs), so the Krylov solver does the iteration work instead.
+
+    ARPACK draws restart vectors from `rng`, from OS entropy if unset, which
+    moves the last bits between calls and processes. Each call gets the
+    constant seed 0, not a shared generator, so no solve depends on another.
     """
     n = g.n
     rows, cols = [], []
@@ -222,19 +229,15 @@ def _extremes_iterative(g: Graph) -> tuple[float, float]:
     try:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
-        lam2 = float(
-            eigsh(
-                LinearOperator((n, n), matvec=mv_deflated, dtype=float),
-                k=1, which="LA", tol=_EIGEN_TOL, v0=v0, ncv=64,
-                maxiter=_EIGEN_MAX_ITER, return_eigenvectors=False,
-            )[0]
-        )
-        lam_n = float(
-            eigsh(
-                LinearOperator((n, n), matvec=mv, dtype=float),
-                k=1, which="SA", tol=_EIGEN_TOL, v0=v0, ncv=64,
-                maxiter=_EIGEN_MAX_ITER, return_eigenvectors=False,
-            )[0]
+        lam2, lam_n = (
+            float(
+                eigsh(
+                    LinearOperator((n, n), matvec=matvec, dtype=float),
+                    k=1, which=which, tol=_EIGEN_TOL, v0=v0, ncv=64,
+                    maxiter=_EIGEN_MAX_ITER, return_eigenvectors=False, rng=0,
+                )[0]
+            )
+            for matvec, which in ((mv_deflated, "LA"), (mv, "SA"))
         )
     except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
         raise ComputationRefused(f"eigensolver failed to converge: {exc}") from None
@@ -246,8 +249,10 @@ def spectrum(g: Graph) -> SpectrumResult:
 
     lambda2 is the second-largest eigenvalue, rho_star = max(|lambda2|,
     |lambda_n|) is the nontrivial spectral radius, gap = 1 - lambda2. Dense
-    symmetric solve up to n=4096, deflated Lanczos (ARPACK eigsh) above.
-    Disconnected graphs are rejected (lambda2 = 1 would be ambiguous).
+    symmetric solve up to n=512, deflated Lanczos (ARPACK eigsh) with a
+    fixed seed above, so results are bit-identical across calls and
+    processes. Disconnected graphs are rejected (lambda2 = 1 would be
+    ambiguous).
     """
     if g.n < 2:
         raise ValueError(f"spectrum needs n >= 2, got n={g.n}")
@@ -269,13 +274,35 @@ def girth(g: Graph):
 
 
 def diameter(g: Graph):
-    """Max BFS eccentricity; UNBOUNDED (math.inf) if the graph is disconnected."""
+    """Max eccentricity; UNBOUNDED (math.inf) if the graph is disconnected.
+
+    All-sources bit-parallel BFS (Itai and Rodeh) over blocks of
+    _DIAMETER_BLOCK sources: reach[v] is an int whose bits are the block's
+    sources within distance d of v, and one level ORs each vertex's
+    neighbours' sets into its own. A block's largest eccentricity is the level
+    at which every set is full; a level at which none grows leaves some pair
+    unreachable.
+    """
+    n, adj = g.n, g.adj
     worst = 0
-    for s in range(g.n):
-        dist = bfs_distances(g.adj, s)
-        if min(dist) < 0:  # some vertex unreachable
-            return UNBOUNDED
-        worst = max(worst, max(dist))
+    for lo in range(0, n, _DIAMETER_BLOCK):
+        hi = min(lo + _DIAMETER_BLOCK, n)
+        full = (1 << (hi - lo)) - 1
+        reach = [1 << (v - lo) if lo <= v < hi else 0 for v in range(n)]
+        pending = [v for v in range(n) if reach[v] != full]
+        d = 0
+        while pending:
+            d += 1
+            prev = reach[:]
+            for v in pending:
+                r = prev[v]
+                for w in adj[v]:
+                    r |= prev[w]
+                reach[v] = r
+            if reach == prev:
+                return UNBOUNDED
+            pending = [v for v in pending if reach[v] != full]
+        worst = max(worst, d)
     return worst
 
 

@@ -103,15 +103,6 @@ def _reconstruct_cycle(adj, n: int, root: int, length: int) -> list[int]:
     raise RuntimeError(f"no cycle of length {length} found from root {root}")
 
 
-def shortest_cycle(g: Graph) -> Optional[list[int]]:
-    """One shortest cycle as a vertex list (smallest-root, BFS-order tie-break)."""
-    found = shortest_cycle_scan(g.adj, g.n)
-    if found is None:
-        return None
-    length, root = found
-    return _reconstruct_cycle(g.adj, g.n, root, length)
-
-
 def trim_to_girth(g: Graph, target: int) -> Graph:
     """Delete edges of shortest cycles until girth >= target.
 

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the implementation paths it checks:
 subset enumeration uses itertools and Python sets (not bitmask DP), girth
 uses the edge-removal method (not the layered BFS scan), diameter uses
-Floyd-Warshall (not repeated BFS). The search references at the end are the
-plain versions of `augment_edges` and `_anneal`: one target-stopped BFS per
-distance and a fresh union-find per component count.
+Floyd-Warshall or one plain BFS per source (not the bit-parallel
+all-sources BFS). The search references at the end are the plain versions
+of `augment_edges` and `_anneal`: one target-stopped BFS per distance and a
+fresh union-find per component count. `words_avoid_identity` checks the
+freeness of a generator pair in SL(2, Z) up to a word length.
 """
 
 import heapq
@@ -202,6 +204,17 @@ def bfs_distances(
     return dist
 
 
+def diameter_per_source(g: Graph):
+    """Max over sources of the BFS eccentricity; inf if some vertex is unreachable."""
+    worst = 0
+    for s in range(g.n):
+        dist = bfs_distances(g.adj, s)
+        if min(dist) < 0:
+            return math.inf
+        worst = max(worst, max(dist))
+    return worst
+
+
 def _components(n: int, edges) -> int:
     ds = DisjointSet(n)
     for u, v in edges:
@@ -365,3 +378,46 @@ def anneal_reference(
                     best_exact_obj = exact_obj
                     best_kept = frozenset(kept)
     return best_kept
+
+
+# --- group references ----------------------------------------------------
+
+
+def words_avoid_identity(a_rows, b_rows, max_len: int = 12) -> bool:
+    """Check no reduced word of length <= max_len over {a,b,a^-1,b^-1} hits identity.
+
+    Exact big-integer arithmetic in SL(2,Z); a bounded sanity check for
+    freeness of a candidate pair (freeness itself is not decidable this way).
+    """
+
+    def mul2(x, y):
+        return (
+            (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
+            (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
+        )
+
+    def inv2(x):
+        det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
+        if det != 1:
+            raise ValueError(f"not in SL(2,Z): det = {det}")
+        return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
+
+    ident = ((1, 0), (0, 1))
+    a = tuple(tuple(r) for r in a_rows)
+    b = tuple(tuple(r) for r in b_rows)
+    gens = [a, b, inv2(a), inv2(b)]
+    inverse_of = [2, 3, 0, 1]
+    # iterative DFS over reduced words
+    stack = [(ident, -1, 0)]
+    while stack:
+        mat, last, depth = stack.pop()
+        if depth == max_len:
+            continue
+        for gi, g in enumerate(gens):
+            if last >= 0 and gi == inverse_of[last]:
+                continue
+            nxt = mul2(mat, g)
+            if nxt == ident:
+                return False
+            stack.append((nxt, gi, depth + 1))
+    return True

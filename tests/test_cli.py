@@ -239,6 +239,46 @@ class TestProbeAndManifest:
         assert manifest["outputs"][str(out)] == digest
         assert manifest["command"] == "gen"
 
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        import platform
+
+        import numpy
+        import scipy
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "g.el"
+        assert run(["gen", "cycle:n=12", "-o", out]) == 0
+        manifest = json.loads((tmp_path / "g.el.manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "platform": platform.platform(),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+        }
+
+    def test_rerun_tampered_digest_exit5(self, tmp_path, capsys):
+        out = tmp_path / "g.el"
+        other = tmp_path / "g.el.labels"
+        assert run(["gen", "cayley:recipe=elementary,p=3", "-o", out]) == 0
+        manifest_path = tmp_path / "g.el.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["outputs"][str(out)] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", manifest_path]) == cli.EXIT_MISMATCH == 5
+        err = capsys.readouterr().err
+        assert str(out) in err and str(other) not in err
+
+    def test_rerun_manifest_without_outputs_exit2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps({"argv": ["gen", "cycle:n=5", "-o", "x.el"]}))
+        assert run(["rerun", manifest_path]) == cli.EXIT_INPUT
+        assert not (tmp_path / "x.el").exists()
+
 
 class TestExitCodes:
     def test_no_command_usage(self):

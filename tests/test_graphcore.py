@@ -17,7 +17,6 @@ from expanderlab.graphcore import (
     pair_distance,
     read_edge_list_text,
     shortest_cycle_scan,
-    to_edge_list,
     write_edge_list_text,
 )
 from oracles import girth_by_edge_removal, random_connected_graph
@@ -57,21 +56,23 @@ class TestFromEdgeList:
 
 
 class TestRoundTrip:
+    """`Graph.edges()` yields the sorted pairs `from_edge_list` rebuilds the graph from."""
+
     def test_c4(self):
         g = cycle(4)
-        el = to_edge_list(g)
+        el = EdgeList(g.n, tuple(g.edges()))
         assert el.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
         assert from_edge_list(el) == g
 
     def test_isolated(self):
         g = from_edges(5, [])
-        el = to_edge_list(g)
-        assert el.n == 5 and el.edges == ()
+        el = EdgeList(g.n, tuple(g.edges()))
+        assert el.edges == () and from_edge_list(el) == g
 
     def test_random_graphs(self):
         for seed in range(25):
             g = random_connected_graph(12, seed, extra_edges=seed % 7)
-            assert from_edge_list(to_edge_list(g)) == g
+            assert from_edge_list(EdgeList(g.n, tuple(g.edges()))) == g
 
 
 class TestBfs:

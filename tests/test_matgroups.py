@@ -16,9 +16,9 @@ from expanderlab.matgroups import (
     product_generators,
     sl2_order,
     transvection_generators,
-    words_avoid_identity,
 )
 from expanderlab.rng import Stream
+from oracles import words_avoid_identity
 
 IDENT = (1, 0, 0, 1)
 

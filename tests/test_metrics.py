@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expanderlab import builders
+import expanderlab
+from expanderlab import builders, metrics, search
 from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import edge_subgraph, from_edges
 from expanderlab.metrics import (
@@ -25,6 +33,7 @@ from oracles import (
     brute_cheeger,
     brute_conductance,
     diameter_floyd,
+    diameter_per_source,
     girth_by_edge_removal,
     random_connected_graph,
 )
@@ -167,6 +176,63 @@ class TestSpectrum:
             assert abs(lamn_d - lamn_i) < 1e-8
 
 
+def _build(spec):
+    return builders.build_family(builders.parse_family_spec(spec)).graph
+
+
+RR1024 = "random-regular:n=1024,d=4,seed=1"
+
+_SPECTRUM_HEX = """
+from expanderlab import builders, metrics
+g = builders.build_family(builders.parse_family_spec({spec!r})).graph
+s = metrics.spectrum(g)
+print(s.lambda2.hex(), s.rho_star.hex())
+"""
+
+
+class TestLanczosPath:
+    """Above n = 512 `spectrum` runs seeded Lanczos: reproducible and as exact as dense."""
+
+    def test_bit_identical_across_calls_and_processes(self):
+        g = _build(RR1024)
+        assert g.n > metrics._DENSE_EIGEN_LIMIT
+        first, second = spectrum(g), spectrum(g)
+        assert first == second
+        lam2, lam_n = _extremes_iterative(g)
+        assert (first.lambda2, first.rho_star) == (lam2, max(abs(lam2), abs(lam_n)))
+        env = dict(os.environ)
+        src = str(Path(expanderlab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _SPECTRUM_HEX.format(spec=RR1024)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outputs[0] == outputs[1] == f"{first.lambda2.hex()} {first.rho_star.hex()}\n"
+
+    def test_lanczos_matches_dense_within_1e12(self):
+        hosts = [
+            _build(RR1024),
+            _build("cayley:recipe=elementary,p=11"),
+            _build("random-regular:n=600,d=3,seed=2"),
+            _build(f"power:k=2,inner=({RR1024})"),
+        ]
+        graphs = list(hosts)
+        for host, strategy in ((hosts[0], "percolate-repair"), (hosts[1], "trim"), (hosts[2], "anneal")):
+            res = search.search_spanning_subexpander(
+                host, ratio=0.5, strategy=strategy, budget=40, seed=3
+            )
+            assert res.connected
+            graphs.append(edge_subgraph(host, res.kept))
+        for g in graphs:
+            assert metrics._DENSE_EIGEN_LIMIT < g.n <= 1320
+            dense, lanczos = _extremes_dense(g), _extremes_iterative(g)
+            assert abs(dense[0] - lanczos[0]) < 1e-12
+            assert abs(dense[1] - lanczos[1]) < 1e-12
+
+
 class TestGirth:
     def test_references(self):
         assert girth(cycle(5)) == 5
@@ -195,6 +261,7 @@ class TestDiameter:
     def test_references(self):
         assert diameter(cycle(8)) == 4
         assert diameter(builders.named_graph("petersen")) == 2
+        assert diameter(from_edges(1, [])) == 0
 
     def test_disconnected_sentinel(self):
         assert diameter(from_edges(4, [(0, 1), (2, 3)])) == UNBOUNDED
@@ -203,6 +270,17 @@ class TestDiameter:
         for seed in range(15):
             g = random_connected_graph(11, 1100 + seed, extra_edges=seed % 7)
             assert diameter(g) == diameter_floyd(g)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data(), st.integers(1, 18), st.sampled_from([1, 3, 8, 4096]))
+    def test_matches_per_source_bfs(self, data, n, block):
+        # n = 1 and disconnected graphs included; blocks below n split the sources
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        )
+        g = from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        with mock.patch.object(metrics, "_DIAMETER_BLOCK", block):
+            assert diameter(g) == diameter_per_source(g)
 
     def test_never_shrinks_under_deletion(self):
         stream = Stream(7)

@@ -11,7 +11,7 @@ from expanderlab.builders import (
     parse_family_spec,
     random_regular,
 )
-from expanderlab.graphcore import edge_subgraph, from_edges, is_connected
+from expanderlab.graphcore import edge_subgraph, from_edges, is_connected, shortest_cycle_scan
 from expanderlab.metrics import UNBOUNDED, girth, spectrum
 from expanderlab.percolation import percolate
 from expanderlab.rng import Stream
@@ -20,11 +20,11 @@ from expanderlab.search import (
     _ANNEAL_PENALTY_DISC,
     SearchResult,
     _anneal,
+    _reconstruct_cycle,
     augment_edges,
     conjecture_probe,
     reconnect_repair,
     search_spanning_subexpander,
-    shortest_cycle,
     trim_to_girth,
 )
 from oracles import anneal_reference, augment_edges_reference, random_connected_graph
@@ -36,6 +36,12 @@ def cycle(n):
 
 def spanning_path(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def shortest_cycle(g):
+    """One shortest cycle, rebuilt by `_reconstruct_cycle` from the scan's (length, root)."""
+    found = shortest_cycle_scan(g.adj, g.n)
+    return None if found is None else _reconstruct_cycle(g.adj, g.n, found[1], found[0])
 
 
 class TestShortestCycle:
