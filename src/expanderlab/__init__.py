@@ -4,7 +4,6 @@ sub-expander search."""
 __version__ = "0.1.0"
 
 from .graphcore import (  # noqa: F401
-    EdgeList,
     Graph,
     UNREACHABLE,
     bfs_distances,

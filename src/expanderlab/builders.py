@@ -18,12 +18,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import graphcore
 from .errors import ComputationRefused
 from .graphcore import Graph, from_edges
 from .rng import Stream, split
 
 _REGULAR_RETRY_CAP = 10_000
-_PRODUCT_SIZE_CAP = 4_000_000
 _PHASE_MATCHING = 0x11
 
 
@@ -64,37 +64,36 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 
 
 def graph_power(g: Graph, k: int) -> Graph:
-    """G^k: same vertices, edge {u,v} iff 1 <= dist_g(u,v) <= k."""
+    """G^k: same vertices, edge {u,v} iff 1 <= dist_g(u,v) <= k.
+
+    Level k of `graphcore.reach_levels` (or its last level, if it stops
+    sooner) holds each vertex's sources within distance k; the sources below
+    a vertex are its edges to them.
+    """
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
-    if k == 1:
-        return g
+    n = g.n
     edges = []
-    for u in range(g.n):
-        # truncated BFS to depth k
-        dist = {u: 0}
-        frontier = [u]
-        for depth in range(1, k + 1):
-            nxt = []
-            for x in frontier:
-                for y in g.adj[x]:
-                    if y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-            frontier = nxt
-        edges.extend((u, v) for v in dist if u < v)
-    return from_edges(g.n, edges)
+    for lo in range(0, n, graphcore.REACH_BLOCK):
+        hi = min(lo + graphcore.REACH_BLOCK, n)
+        for d, reach in enumerate(graphcore.reach_levels(g.adj, lo, hi)):
+            if d == k:
+                break
+        for v in range(lo + 1, n):
+            below = reach[v] if v >= hi else reach[v] & ((1 << (v - lo)) - 1)
+            while below:
+                low = below & -below
+                edges.append((lo + low.bit_length() - 1, v))
+                below ^= low
+    return from_edges(n, edges)
 
 
-def cartesian_product(g: Graph, h: Graph, size_cap: int = _PRODUCT_SIZE_CAP) -> Graph:
+def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (u,a) ~ (v,b) iff u=v and a~b, or a=b and u~v.
 
     Vertices are indexed row-major: (u, a) -> u*h.n + a.
     """
-    if g.n * h.n > size_cap:
-        raise ComputationRefused(
-            f"product size {g.n}*{h.n} exceeds cap {size_cap}"
-        )
+    graphcore.check_vertex_count(g.n * h.n)
     hn = h.n
     edges = []
     for u in range(g.n):

@@ -13,6 +13,7 @@ Floats in all outputs are printed at 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -256,27 +257,15 @@ def _cmd_probe(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "probe.csv"
-    rows = []
-    for r in records:
-        girth_cell = "unbounded" if r.best_girth == UNBOUNDED else r.best_girth
-        rows.append(
-            [
-                r.family, r.instance, r.n, r.m, r.d, r.host_gap, r.host_h_exact,
-                r.diameter, r.c, r.girth_target, r.strategy, girth_cell, r.best_gap,
-                r.best_h_exact, r.ratio_achieved, r.success, r.degenerate_diameter,
-                r.seed,
-            ]
-        )
-    _write_csv(
-        csv_path,
+    header = [f.name for f in dataclasses.fields(search.ProbeRecord)]
+    rows = [
         [
-            "family", "instance", "n", "m", "d", "host_gap", "host_h_exact",
-            "diameter", "c", "girth_target", "strategy", "best_girth", "best_gap",
-            "best_h_exact", "ratio_achieved", "success", "degenerate_diameter",
-            "seed",
-        ],
-        rows,
-    )
+            "unbounded" if name == "best_girth" and value == UNBOUNDED else value
+            for name, value in zip(header, dataclasses.astuple(r))
+        ]
+        for r in records
+    ]
+    _write_csv(csv_path, header, rows)
     json_path = out_dir / "probe_summary.json"
     _write_json(
         json_path,
@@ -353,6 +342,8 @@ def _cmd_rerun(args) -> int:
     argv, expected = manifest.get("argv"), manifest.get("outputs")
     if not isinstance(argv, list) or not argv or not isinstance(expected, dict):
         raise ValueError(f"manifest {args.manifest} has no argv to replay or no outputs to check")
+    if argv[0] == "rerun":
+        raise ValueError(f"manifest {args.manifest} replays rerun, which would recurse")
     code = main(argv)
     if code != 0:
         return code

@@ -9,6 +9,7 @@ to distinct exit codes).
 class ComputationRefused(RuntimeError):
     """An exact or iterative computation declined to run.
 
-    Raised when a size cap would be exceeded (exact Cheeger enumeration,
-    Cayley order cap) or when an iterative eigensolver fails to converge.
+    Raised when a size cap would be exceeded (graph vertex cap, exact Cheeger
+    enumeration, Cayley order cap) or when an iterative eigensolver fails to
+    converge.
     """

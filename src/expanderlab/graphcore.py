@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import ComputationRefused
+
 #: Distance sentinel for vertices a BFS cannot reach.
 UNREACHABLE = -1
-
-
-@dataclass(frozen=True)
-class EdgeList:
-    """Serialization form of a graph: vertex count plus sorted (u, v) pairs, u < v."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
+#: Largest vertex count any graph may have; refused before anything is built.
+VERTEX_CAP = 4_000_000
+#: Sources per pass of `reach_levels`: each per-vertex bitset list then takes
+#: n * REACH_BLOCK / 8 bytes.
+REACH_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -78,30 +77,36 @@ class Graph:
         return hashlib.sha256(write_edge_list_text(self).encode("ascii")).hexdigest()
 
 
-def from_edge_list(el: EdgeList) -> Graph:
-    """Build a Graph from an EdgeList, rejecting any invariant violation."""
-    if el.n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {el.n}")
-    nbrs: list[list[int]] = [[] for _ in range(el.n)]
+def check_vertex_count(n: int) -> None:
+    """Refuse a graph on more than VERTEX_CAP vertices before it is allocated."""
+    if n > VERTEX_CAP:
+        raise ComputationRefused(f"{n} vertices exceed the cap of {VERTEX_CAP}")
+
+
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from n and (u, v) pairs with u < v, rejecting any invariant violation."""
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    check_vertex_count(n)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    for e in el.edges:
+    for e in edges:
         u, v = e
         if u == v:
             raise ValueError(f"self-loop rejected: {e}")
-        if not (0 <= u < v < el.n):
-            raise ValueError(f"edge out of range or not (u < v): {e} with n={el.n}")
+        if not (0 <= u < v < n):
+            raise ValueError(f"edge out of range or not (u < v): {e} with n={n}")
         if e in seen:
             raise ValueError(f"duplicate edge rejected: {e}")
         seen.add(e)
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return Graph(n=el.n, adj=tuple(tuple(sorted(a)) for a in nbrs))
+    return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in nbrs))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Convenience constructor: normalizes pair order, then validates as from_edge_list."""
-    norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    return from_edge_list(EdgeList(n=n, edges=tuple(norm)))
+    return from_edge_list(n, sorted((u, v) if u < v else (v, u) for u, v in edges))
 
 
 def bfs_distances(
@@ -187,6 +192,33 @@ def pair_distance(
             ft = nxt
             rt += 1
     return UNREACHABLE
+
+
+def reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[list[int]]:
+    """Yield reach for d = 0, 1, ...: bit s - lo of reach[v] is set iff dist(v, s) <= d.
+
+    All-sources bit-parallel BFS (Itai and Rodeh) from the sources lo..hi-1:
+    one level ORs each vertex's neighbours' sets into its own. It stops after
+    the level at which every set is full, or before a level at which none
+    would grow. Each level is a new list, so a caller may keep any of them.
+    """
+    n = len(adj)
+    full = (1 << (hi - lo)) - 1
+    reach = [1 << (v - lo) if lo <= v < hi else 0 for v in range(n)]
+    pending = [v for v in range(n) if reach[v] != full]
+    while True:
+        yield reach
+        if not pending:
+            return
+        prev, reach = reach, reach[:]
+        for v in pending:
+            r = prev[v]
+            for w in adj[v]:
+                r |= prev[w]
+            reach[v] = r
+        if reach == prev:
+            return
+        pending = [v for v in pending if reach[v] != full]
 
 
 def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf):
@@ -279,7 +311,7 @@ def edge_subgraph(g: Graph, keep: Iterable[tuple[int, int]]) -> Graph:
     for e in kept:
         if not g.has_edge(*e):
             raise ValueError(f"edge {e} not present in host graph")
-    return from_edge_list(EdgeList(n=g.n, edges=tuple(kept)))
+    return from_edge_list(g.n, kept)
 
 
 # Edge-list text format: line 1 is "n m", then m lines "u v" with u < v,
@@ -317,7 +349,7 @@ def read_edge_list_text(text: str) -> Graph:
     if len(edges) != m:
         raise ValueError(f"header declares m={m} edges but file has {len(edges)}")
     try:
-        return from_edge_list(EdgeList(n=n, edges=tuple(edges)))
+        return from_edge_list(n, edges)
     except ValueError as exc:
         raise ValueError(f"invalid edge data: {exc}") from None
 

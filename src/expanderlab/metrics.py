@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from . import graphcore
 from .errors import ComputationRefused
 from .graphcore import Graph, induced_ball, is_connected, shortest_cycle_scan
 
@@ -38,9 +39,6 @@ _EXACT_N_CAP = 26
 _DENSE_EIGEN_LIMIT = 512
 _EIGEN_TOL = 1e-9
 _EIGEN_MAX_ITER = 100_000
-#: Sources per pass of the bit-parallel diameter BFS: each per-vertex bitset
-#: list then takes n * _DIAMETER_BLOCK / 8 bytes.
-_DIAMETER_BLOCK = 4096
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
@@ -66,12 +64,11 @@ def _check_exact_size(n: int, max_n: int, tables: int) -> None:
         )
 
 
-def cheeger_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> tuple[Fraction, frozenset[int]]:
-    """Exact vertex-expansion minimum and one optimal set.
+def cheeger_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
+    """Exact h = min over admissible S of |boundary(S)|/|S| as a Fraction.
 
-    Minimizes |boundary(S)|/|S| over all S with 0 < |S| < n/2 (strict), where
-    the boundary is the set of vertices outside S with a neighbor in S. Ties
-    break toward smaller |S|, then the lexicographically smallest bitmask.
+    S ranges over 0 < |S| < n/2 (strict), and the boundary is the set of
+    vertices outside S with a neighbor in S.
     """
     n = g.n
     if n < 3:
@@ -82,47 +79,26 @@ def cheeger_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> tupl
     # union_adj[S] = union of neighborhoods over members of S, built by
     # peeling the lowest bit (each mask extends a previously seen one).
     union_adj = array("Q", bytes(8 * (1 << n)))
-    best_num = best_den = 0  # boundary / size as an integer pair; den 0 = unset
-    best_size = n + 1
-    best_mask = 0
-    half = n  # admissible iff 2*|S| < n  <=>  2*size < n
+    best_num, best_den = 1, 0  # boundary / size as an integer pair; 1/0 = unset
     for mask in range(1, 1 << n):
         low = mask & -mask
         v = low.bit_length() - 1
         ua = union_adj[mask ^ low] | nbr[v]
         union_adj[mask] = ua
         size = mask.bit_count()
-        if 2 * size >= half:
+        if 2 * size >= n:
             continue
         boundary = (ua & ~mask & full).bit_count()
-        # compare boundary/size < best_num/best_den by cross-multiplication
-        if best_den == 0:
-            better = True
-        else:
-            lhs = boundary * best_den
-            rhs = best_num * size
-            if lhs != rhs:
-                better = lhs < rhs
-            else:
-                better = (size, mask) < (best_size, best_mask)
-        if better:
+        # boundary/size < best_num/best_den by cross-multiplication
+        if boundary * best_den < best_num * size:
             best_num, best_den = boundary, size
-            best_size, best_mask = size, mask
-    witness = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return Fraction(best_num, best_den), witness
+    return Fraction(best_num, best_den)
 
 
-def cheeger_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
-    """Exact h = min over admissible S of |boundary(S)|/|S| as a Fraction."""
-    value, _ = cheeger_exact_with_witness(g, max_n)
-    return value
+def conductance_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
+    """Exact conductance: min e(S, S̄)/vol(S) over S with 0 < vol(S) <= vol(G)/2.
 
-
-def conductance_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> tuple[Fraction, frozenset[int]]:
-    """Exact conductance and one optimal set.
-
-    Minimizes e(S, S̄)/vol(S) over S with 0 < vol(S) <= vol(G)/2 (volume is
-    the degree sum). Requires a connected graph with at least one edge.
+    Volume is the degree sum. Requires a connected graph with at least one edge.
     """
     n = g.n
     if n < 2:
@@ -135,9 +111,7 @@ def conductance_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> 
     vol_total = sum(deg)
     vol = array("Q", bytes(8 * (1 << n)))
     e_in = array("Q", bytes(8 * (1 << n)))
-    best_num = best_den = 0
-    best_size = n + 1
-    best_mask = 0
+    best_num, best_den = 1, 0  # cut / volume; 1/0 = unset
     for mask in range(1, 1 << n):
         low = mask & -mask
         v = low.bit_length() - 1
@@ -149,28 +123,9 @@ def conductance_exact_with_witness(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> 
         if 2 * vs > vol_total:
             continue
         cut = vs - 2 * es
-        if best_den == 0:
-            better = True
-        else:
-            lhs = cut * best_den
-            rhs = best_num * vs
-            if lhs != rhs:
-                better = lhs < rhs
-            else:
-                size = mask.bit_count()
-                better = (size, mask) < (best_size, best_mask)
-        if better:
+        if cut * best_den < best_num * vs:
             best_num, best_den = cut, vs
-            best_size, best_mask = mask.bit_count(), mask
-    if best_den == 0:
-        raise ValueError("no admissible set (graph has no edges)")
-    witness = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return Fraction(best_num, best_den), witness
-
-
-def conductance_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
-    value, _ = conductance_exact_with_witness(g, max_n)
-    return value
+    return Fraction(best_num, best_den)
 
 
 @dataclass(frozen=True)
@@ -276,32 +231,18 @@ def girth(g: Graph):
 def diameter(g: Graph):
     """Max eccentricity; UNBOUNDED (math.inf) if the graph is disconnected.
 
-    All-sources bit-parallel BFS (Itai and Rodeh) over blocks of
-    _DIAMETER_BLOCK sources: reach[v] is an int whose bits are the block's
-    sources within distance d of v, and one level ORs each vertex's
-    neighbours' sets into its own. A block's largest eccentricity is the level
-    at which every set is full; a level at which none grows leaves some pair
-    unreachable.
+    Counts the levels of `graphcore.reach_levels` over each block of
+    REACH_BLOCK sources: a block's largest eccentricity is its last level,
+    and a last level with a set that is not full leaves some pair unreachable.
     """
-    n, adj = g.n, g.adj
+    n = g.n
     worst = 0
-    for lo in range(0, n, _DIAMETER_BLOCK):
-        hi = min(lo + _DIAMETER_BLOCK, n)
-        full = (1 << (hi - lo)) - 1
-        reach = [1 << (v - lo) if lo <= v < hi else 0 for v in range(n)]
-        pending = [v for v in range(n) if reach[v] != full]
-        d = 0
-        while pending:
-            d += 1
-            prev = reach[:]
-            for v in pending:
-                r = prev[v]
-                for w in adj[v]:
-                    r |= prev[w]
-                reach[v] = r
-            if reach == prev:
-                return UNBOUNDED
-            pending = [v for v in pending if reach[v] != full]
+    for lo in range(0, n, graphcore.REACH_BLOCK):
+        hi = min(lo + graphcore.REACH_BLOCK, n)
+        for d, reach in enumerate(graphcore.reach_levels(g.adj, lo, hi)):
+            pass
+        if reach.count((1 << (hi - lo)) - 1) < n:
+            return UNBOUNDED
         worst = max(worst, d)
     return worst
 

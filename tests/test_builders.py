@@ -1,8 +1,12 @@
 import math
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expanderlab import metrics
+from expanderlab import graphcore, metrics
 from expanderlab.builders import (
     BuildResult,
     FamilySpec,
@@ -16,7 +20,7 @@ from expanderlab.builders import (
     random_regular,
 )
 from expanderlab.errors import ComputationRefused
-from expanderlab.graphcore import is_connected, write_edge_list_text
+from expanderlab.graphcore import bfs_distances, from_edges, is_connected, write_edge_list_text
 from oracles import random_connected_graph
 
 
@@ -85,6 +89,29 @@ class TestGraphPower:
         with pytest.raises(ValueError):
             graph_power(named_graph("cycle", 5), 0)
 
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data(), st.integers(1, 16), st.integers(1, 6), st.sampled_from([1, 3, 8, 4096]))
+    def test_pairs_within_distance_k(self, data, n, k, block):
+        # disconnected graphs included; blocks below n split the sources
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+        )
+        g = from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        expected = {
+            (u, v)
+            for u in range(n)
+            for v, d in enumerate(bfs_distances(g.adj, u))
+            if u < v and 1 <= d <= k
+        }
+        with mock.patch.object(graphcore, "REACH_BLOCK", block):
+            assert set(graph_power(g, k).edges()) == expected
+
+    def test_huge_exponent_stops_at_diameter(self):
+        t0 = time.perf_counter()
+        g = graph_power(named_graph("cycle", 3), 10**12)
+        assert time.perf_counter() - t0 < 1.0
+        assert g == named_graph("cycle", 3)
+
 
 class TestCartesianProduct:
     def test_k2_square_is_c4(self):
@@ -116,8 +143,9 @@ class TestCartesianProduct:
 
     def test_size_cap(self):
         g = named_graph("cycle", 100)
-        with pytest.raises(ComputationRefused, match="cap"):
-            cartesian_product(g, g, size_cap=5000)
+        with mock.patch.object(graphcore, "VERTEX_CAP", 5000):
+            with pytest.raises(ComputationRefused, match="cap"):
+                cartesian_product(g, g)
 
 
 class TestNamedGraph:

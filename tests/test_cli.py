@@ -272,6 +272,15 @@ class TestProbeAndManifest:
         err = capsys.readouterr().err
         assert str(out) in err and str(other) not in err
 
+    def test_rerun_of_rerun_exit2(self, tmp_path, capsys):
+        # a manifest that replays itself would recurse without end
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(
+            json.dumps({"argv": ["rerun", str(manifest_path)], "outputs": {}})
+        )
+        assert run(["rerun", manifest_path]) == cli.EXIT_INPUT
+        assert "replays rerun" in capsys.readouterr().err
+
     def test_rerun_manifest_without_outputs_exit2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         manifest_path = tmp_path / "m.json"
@@ -301,6 +310,13 @@ class TestExitCodes:
         code = run(["measure", path, "--exact-max", 40, "-o", tmp_path / "r.json"])
         assert code == cli.EXIT_REFUSED
         assert f"needs {8 << 40} bytes" in capsys.readouterr().err
+
+    def test_vertex_cap_is_3(self, tmp_path, capsys):
+        # a 12-byte header asking for 10^9 vertices is refused before allocation
+        path = tmp_path / "huge.el"
+        path.write_text("1000000000 0")
+        assert run(["measure", path]) == cli.EXIT_REFUSED
+        assert "exceed the cap" in capsys.readouterr().err
 
     def test_tower_refused_is_3(self, tmp_path):
         code = run(["tower", "--p", 3, "--levels", 3, "--order-cap", 50, "-o", tmp_path / "t.csv"])

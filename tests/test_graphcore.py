@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from expanderlab import graphcore
+from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import (
-    EdgeList,
     UNREACHABLE,
     bfs_distances,
     edge_subgraph,
@@ -32,27 +33,34 @@ def complete(n):
 
 class TestFromEdgeList:
     def test_empty(self):
-        g = from_edge_list(EdgeList(3, ()))
+        g = from_edge_list(3, ())
         assert g.n == 3 and g.m == 0
 
     def test_c4(self):
-        g = from_edge_list(EdgeList(4, ((0, 1), (0, 3), (1, 2), (2, 3))))
+        g = from_edge_list(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
         assert g.m == 4
         assert all(g.degree(v) == 2 for v in range(4))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            from_edge_list(EdgeList(2, ((0, 0),)))
+            from_edge_list(2, ((0, 0),))
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            from_edge_list(EdgeList(3, ((0, 1), (0, 1))))
+            from_edge_list(3, ((0, 1), (0, 1)))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            from_edge_list(EdgeList(3, ((0, 3),)))
+            from_edge_list(3, ((0, 3),))
         with pytest.raises(ValueError, match="out of range"):
-            from_edge_list(EdgeList(3, ((1, 0),)))  # not u < v
+            from_edge_list(3, ((1, 0),))  # not u < v
+
+    def test_vertex_cap_refused_before_allocation(self):
+        # a list of VERTEX_CAP + 1 adjacency lists is never built
+        with pytest.raises(ComputationRefused, match="cap"):
+            from_edge_list(graphcore.VERTEX_CAP + 1, ())
+        with pytest.raises(ComputationRefused, match="cap"):
+            read_edge_list_text("1000000000 0\n")
 
 
 class TestRoundTrip:
@@ -60,19 +68,19 @@ class TestRoundTrip:
 
     def test_c4(self):
         g = cycle(4)
-        el = EdgeList(g.n, tuple(g.edges()))
-        assert el.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-        assert from_edge_list(el) == g
+        edges = tuple(g.edges())
+        assert edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert from_edge_list(g.n, edges) == g
 
     def test_isolated(self):
         g = from_edges(5, [])
-        el = EdgeList(g.n, tuple(g.edges()))
-        assert el.edges == () and from_edge_list(el) == g
+        edges = tuple(g.edges())
+        assert edges == () and from_edge_list(g.n, edges) == g
 
     def test_random_graphs(self):
         for seed in range(25):
             g = random_connected_graph(12, seed, extra_edges=seed % 7)
-            assert from_edge_list(EdgeList(g.n, tuple(g.edges()))) == g
+            assert from_edge_list(g.n, g.edges()) == g
 
 
 class TestBfs:

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expanderlab
-from expanderlab import builders, metrics, search
+from expanderlab import builders, graphcore, metrics, search
 from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import edge_subgraph, from_edges
 from expanderlab.metrics import (
     UNBOUNDED,
     ball_expansion_profile,
     cheeger_exact,
-    cheeger_exact_with_witness,
     conductance_exact,
     diameter,
     girth,
@@ -72,11 +71,6 @@ class TestCheegerExact:
             g = random_connected_graph(n, 400 + seed, extra_edges=seed % 8)
             assert cheeger_exact(g) == brute_cheeger(g)
 
-    def test_witness_is_optimal_and_small(self):
-        value, witness = cheeger_exact_with_witness(cycle(6))
-        assert value == 1
-        assert witness == {0, 1}  # smallest size, then lexicographic tie-break
-
     def test_too_small(self):
         with pytest.raises(ValueError, match="too small"):
             cheeger_exact(from_edges(2, [(0, 1)]))
@@ -103,14 +97,6 @@ class TestCheegerExact:
         for seed in range(10):
             g = random_connected_graph(9, 500 + seed, extra_edges=3)
             assert cheeger_exact(g) > 0
-
-    def test_edge_boundary_bounded_by_degree_times_vertex_boundary(self):
-        for seed in range(15):
-            g = random_connected_graph(10, 600 + seed, extra_edges=seed % 6)
-            _, s = cheeger_exact_with_witness(g)
-            vertex_boundary = {v for u in s for v in g.adj[u]} - s
-            edge_boundary = sum(1 for u in s for v in g.adj[u] if v not in s)
-            assert edge_boundary <= g.max_degree * len(vertex_boundary)
 
 
 class TestConductanceExact:
@@ -279,7 +265,7 @@ class TestDiameter:
             st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
         )
         g = from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
-        with mock.patch.object(metrics, "_DIAMETER_BLOCK", block):
+        with mock.patch.object(graphcore, "REACH_BLOCK", block):
             assert diameter(g) == diameter_per_source(g)
 
     def test_never_shrinks_under_deletion(self):
