@@ -253,9 +253,11 @@ def build_family(spec: FamilySpec) -> BuildResult:
     kind, p = spec.kind, spec.params
     if kind == "random-regular":
         _require(p, "n", "d", spec)
+        graphcore.check_vertex_count(p["n"])
         return BuildResult(random_regular(p["n"], p["d"], p.get("seed", 0)))
     if kind in ("cycle", "complete"):
         _require(p, "n", None, spec)
+        graphcore.check_vertex_count(p["n"])
         return BuildResult(named_graph(kind, p["n"]))
     if kind == "petersen":
         return BuildResult(named_graph("petersen"))

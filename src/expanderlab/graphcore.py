@@ -221,14 +221,15 @@ def reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[lis
         pending = [v for v in pending if reach[v] != full]
 
 
-def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf):
+def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf, roots=None):
     """(length, root) of a shortest cycle shorter than `below`, or None.
 
-    BFS from every vertex with earliest cross/back-edge detection (Itai and
-    Rodeh): an edge within BFS layer d closes a cycle of length 2d+1, an edge
-    into the next layer one of length 2d+2. The search depth shrinks as
-    better cycles are found, so the scan is fast once any short cycle exists.
-    The root is the smallest vertex from which the best length was found.
+    BFS from each vertex of `roots` (default: all) with earliest cross/back-
+    edge detection (Itai and Rodeh): an edge within BFS layer d closes a cycle
+    of length 2d+1, an edge into the next layer one of length 2d+2. The search
+    depth shrinks as better cycles are found, so the scan is fast once any
+    short cycle exists. The root is the first root, in the order given, from
+    which the best length was found. A cycle through no root may be missed.
     """
     best = below
     best_root = -1
@@ -236,7 +237,8 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf):
     depth_limit = n if best == math.inf else (best - 2) // 2
     token = [-1] * n
     dist = [0] * n
-    for s in range(n):
+    # dict.fromkeys drops a repeated root, which would meet its own old tokens
+    for s in range(n) if roots is None else dict.fromkeys(roots):
         token[s] = s
         dist[s] = 0
         frontier = [s]

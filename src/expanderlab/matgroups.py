@@ -254,7 +254,8 @@ def girth_tower_report(
                 modulus=p**level,
                 vertices=g.n,
                 degree=g.max_degree,
-                girth=metrics.girth(g),
+                # every recipe gives a Cayley graph, and those are vertex-transitive
+                girth=metrics.girth(g, vertex_transitive=True),
                 gap=spec.gap,
                 reached_order=res.reached_order,
                 full_group_order=res.full_group_order,

@@ -222,9 +222,14 @@ def spectrum(g: Graph) -> SpectrumResult:
     )
 
 
-def girth(g: Graph):
-    """Length of the shortest cycle, or UNBOUNDED (math.inf) for forests."""
-    found = shortest_cycle_scan(g.adj, g.n)
+def girth(g: Graph, vertex_transitive: bool = False):
+    """Length of the shortest cycle, or UNBOUNDED (math.inf) for forests.
+
+    vertex_transitive=True scans from vertex 0 alone. A BFS from a vertex on a
+    shortest cycle finds that cycle's length, and on a vertex-transitive graph
+    every vertex lies on one; on other graphs the result may be too large.
+    """
+    found = shortest_cycle_scan(g.adj, g.n, roots=(0,) if vertex_transitive else None)
     return UNBOUNDED if found is None else found[0]
 
 

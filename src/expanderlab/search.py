@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .builders import FamilySpec, base_family_id, build_family, canonical_spec_string
+from .builders import FamilySpec, base_family_id, build_family, canonical_spec_string, graph_power
 from .graphcore import (
     UNREACHABLE,
     Graph,
@@ -525,12 +525,14 @@ def conjecture_probe(
             seen.add(x)
 
     hosts = []
-    for spec in specs:
-        g = build_family(spec).graph
+    built: dict[str, Graph] = {}  # canonical spec -> graph, so a power: reuses its inner host
+    for spec, key in zip(specs, instances):
+        reusable = spec.kind == "power" and spec.inner is not None and "k" in spec.params
+        inner = built.get(canonical_spec_string(spec.inner)) if reusable else None
+        g = build_family(spec).graph if inner is None else graph_power(inner, spec.params["k"])
+        built[key] = g
         if not is_connected(g):
-            raise ValueError(
-                f"family instance {canonical_spec_string(spec)!r} is not connected"
-            )
+            raise ValueError(f"family instance {key!r} is not connected")
         spec_res = spectrum(g)
         h = cheeger_exact(g, exact_max) if 3 <= g.n <= exact_max else None
         hosts.append((spec, g, spec_res, diameter(g), h))

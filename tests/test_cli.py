@@ -1,10 +1,11 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from expanderlab import cli, metrics
+from expanderlab import builders, cli, graphcore, metrics
 from expanderlab.builders import named_graph
 from expanderlab.graphcore import load_graph, save_graph, write_edge_list_text
 
@@ -317,6 +318,23 @@ class TestExitCodes:
         path.write_text("1000000000 0")
         assert run(["measure", path]) == cli.EXIT_REFUSED
         assert "exceed the cap" in capsys.readouterr().err
+
+    def test_family_vertex_cap_checked_before_building(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphcore, "VERTEX_CAP", 1000)
+        out = tmp_path / "g.el"
+        start = time.perf_counter()
+        assert run(["gen", "random-regular:n=20000,d=4,seed=1", "-o", out]) == cli.EXIT_REFUSED
+        assert time.perf_counter() - start < 1.0
+        assert "20000 vertices exceed the cap" in capsys.readouterr().err
+
+        def unreachable(*args):
+            raise AssertionError("builder ran for a refused vertex count")
+
+        monkeypatch.setattr(builders, "random_regular", unreachable)
+        monkeypatch.setattr(builders, "named_graph", unreachable)
+        for spec in ("random-regular:n=1001,d=4", "cycle:n=1001", "complete:n=1001"):
+            assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
+        assert not out.exists()
 
     def test_tower_refused_is_3(self, tmp_path):
         code = run(["tower", "--p", 3, "--levels", 3, "--order-cap", 50, "-o", tmp_path / "t.csv"])

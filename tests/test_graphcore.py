@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -201,6 +202,29 @@ class TestShortestCycleScan:
             length, root = found
             assert shortest_cycle_scan(g.adj, g.n, below=length + 1) == found
             assert shortest_cycle_scan(g.adj, g.n, below=length) is None
+
+    def test_rooted_scan_is_min_over_single_roots(self):
+        rng = random.Random(7)
+        for g in self.graphs():
+            single = [shortest_cycle_scan(g.adj, g.n, roots=(r,)) for r in range(g.n)]
+            assert min((f for f in single if f), default=None) == shortest_cycle_scan(g.adj, g.n)
+            for _ in range(5):
+                roots = rng.sample(range(g.n), rng.randint(1, g.n))
+                hits = [(single[r][0], i) for i, r in enumerate(roots) if single[r]]
+                if not hits:
+                    assert shortest_cycle_scan(g.adj, g.n, roots=roots) is None
+                    continue
+                length, i = min(hits)  # the first root, in the given order, at the best length
+                assert shortest_cycle_scan(g.adj, g.n, roots=roots) == (length, roots[i])
+                assert shortest_cycle_scan(g.adj, g.n, roots=roots + roots) == (length, roots[i])
+
+    def test_root_off_every_shortest_cycle_overestimates(self):
+        # triangle 0-1-2 with the tail 2-3-4-5: from the tail's end the first
+        # closing edge is 0-1 at depth 4, so the scan reports 9, not 3; hence
+        # only a vertex-transitive caller may scan from one root
+        g = from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+        assert shortest_cycle_scan(g.adj, g.n, roots=(5,)) == (9, 5)
+        assert shortest_cycle_scan(g.adj, g.n) == (3, 0)
 
 
 class TestConnectivity:

@@ -266,9 +266,33 @@ class TestTower:
 
     def test_girth_drop_at_equal_degree_raises(self, monkeypatch):
         falling = iter([6, 4])
-        monkeypatch.setattr(metrics, "girth", lambda g: next(falling))
+        monkeypatch.setattr(metrics, "girth", lambda g, **_: next(falling))
         with pytest.raises(RuntimeError, match="not monotone"):
             girth_tower_report(3, 2, recipe="sanov")
+
+
+class TestVertexTransitiveGirth:
+    RECIPES = ("sanov", "elementary", "transvections:3", "product:twisted", "product:mixed:elementary")
+    CASES = [(p, 1) for p in (2, 3, 5, 7)] + [(p, 2) for p in (2, 3)]
+
+    def test_root_scan_equals_full_scan_on_every_recipe(self):
+        # the tower reads girth from vertex 0 because every recipe gives a
+        # Cayley graph; check that against the all-vertex scan wherever the
+        # full scan is cheap (order cap 2500)
+        checked = 0
+        for recipe in self.RECIPES:
+            for p, level in self.CASES:
+                try:
+                    g = cayley_from_recipe(recipe, p, level, order_cap=2500).graph
+                except ValueError as e:
+                    assert "collapses to identity" in str(e)
+                    continue
+                except ComputationRefused as e:
+                    assert "order cap 2500" in str(e)
+                    continue
+                assert metrics.girth(g, vertex_transitive=True) == metrics.girth(g), (recipe, p, level)
+                checked += 1
+        assert checked == 24
 
 
 class TestOrders:

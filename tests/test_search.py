@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import metrics
+from expanderlab import builders, metrics
 from expanderlab.builders import (
     graph_power,
     named_graph,
@@ -369,6 +369,19 @@ class TestProbe:
         )
         assert records[0].family == records[1].family
         assert len(summaries) == 1
+
+    def test_power_reuses_inner_host(self, monkeypatch):
+        calls = []
+        real = builders.random_regular
+        monkeypatch.setattr(builders, "random_regular", lambda *a: calls.append(a) or real(*a))
+        inner = "random-regular:n=26,d=4,seed=2"
+        specs = [
+            parse_family_spec(inner),
+            parse_family_spec(f"power:k=2,inner=({inner})"),
+            parse_family_spec(f"power:k=3,inner=({inner})"),
+        ]
+        conjecture_probe(specs, ratios=[0.25], strategies=("trim",), budget=10, seed=1)
+        assert calls == [(26, 4, 2)]
 
     def test_deterministic(self):
         specs = [parse_family_spec("random-regular:n=20,d=4,seed=3")]
