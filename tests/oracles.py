@@ -4,9 +4,12 @@ Everything here deliberately avoids the implementation paths it checks:
 subset enumeration uses itertools and Python sets (not bitmask DP), girth
 uses the edge-removal method (not the layered BFS scan), diameter uses
 Floyd-Warshall or one plain BFS per source (not the bit-parallel
-all-sources BFS). The search references at the end are the plain versions
-of `augment_edges` and `_anneal`: one target-stopped BFS per distance and a
-fresh union-find per component count. `words_avoid_identity` checks the
+all-sources BFS). `reconstruct_cycle` rebuilds a shortest cycle by a second
+pruned BFS, as trimming once did, and `walk_matrix_dense` fills the walk
+matrix in a Python loop, as the dense spectrum once did. The search
+references at the end are the plain versions of `augment_edges` and
+`_anneal`: one target-stopped BFS per distance and a fresh union-find per
+component count. `words_avoid_identity` checks the
 freeness of a generator pair in SL(2, Z) up to a word length.
 """
 
@@ -15,6 +18,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from expanderlab.graphcore import UNREACHABLE, Graph, edge_subgraph, from_edges
 from expanderlab.metrics import spectrum
@@ -165,6 +170,58 @@ def random_connected_graph(n: int, seed: int, extra_edges: int = 0) -> Graph:
             edges.add(e)
             extra_edges -= 1
     return from_edges(n, edges)
+
+
+# --- cycle and walk-matrix references ---------------------------------------
+
+
+def reconstruct_cycle(adj, n: int, root: int, length: int) -> list[int]:
+    """Recover the first cycle of exactly `length` detected by BFS from `root`."""
+    parent = [-1] * n
+    dist = [-1] * n
+    dist[root] = 0
+    frontier = [root]
+    du = 0
+    cap = length // 2
+    while frontier and du <= cap:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = du + 1
+                    parent[v] = u
+                    nxt.append(v)
+                else:
+                    dv = dist[v]
+                    if dv < du:
+                        continue
+                    delta = 1 if dv == du else 0
+                    if 2 * du + 2 - delta == length:
+                        path_u = [u]
+                        while path_u[-1] != root:
+                            path_u.append(parent[path_u[-1]])
+                        path_v = [v]
+                        while path_v[-1] != root:
+                            path_v.append(parent[path_v[-1]])
+                        cycle = list(reversed(path_u)) + path_v[:-1]
+                        if len(set(cycle)) != length:
+                            raise RuntimeError(
+                                f"reconstructed walk of length {length} is not a simple cycle"
+                            )
+                        return cycle
+        frontier = nxt
+        du += 1
+    raise RuntimeError(f"no cycle of length {length} found from root {root}")
+
+
+def walk_matrix_dense(g: Graph) -> np.ndarray:
+    """D^{-1/2} A D^{-1/2}, with A filled entry by entry."""
+    a = np.zeros((g.n, g.n))
+    for u, nbrs in enumerate(g.adj):
+        for v in nbrs:
+            a[u, v] = 1.0
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * dinv[:, None] * dinv[None, :]
 
 
 # --- search references ----------------------------------------------------

@@ -51,6 +51,12 @@ CASES = {
         ["gen", "random-regular:n=64,d=4,seed=3", "-o", "rr64.el"],
         ["trim", "rr64.el", "--girth", "6", "-o", "trimmed.el"],
     ],
+    "trim-large": [
+        ["gen", RR1024, "-o", "rr1024.el"],
+        ["trim", "rr1024.el", "--girth", "8", "-o", "rr1024-trim8.el"],
+        ["gen", f"power:k=2,inner=({RR256})", "-o", "power256.el"],
+        ["trim", "power256.el", "--girth", "6", "-o", "power256-trim6.el"],
+    ],
     "search": [
         ["gen", POWER32, "-o", "power32.el"],
         *(
@@ -265,6 +271,16 @@ GOLDEN = {
             "d2a522450b427f9c78cb95f7208d8f2c58958d8c0b01a269695926db18190e4c",
         "trimmed.el":
             "2d1124f88e2d3fa540b87b63d366f1f03106a2bb0eccd642b75b9e1c0fa284d5",
+    },
+    "trim-large": {
+        "power256-trim6.el":
+            "dd8479b680147d2d1b6cb24d32a3198b717b18cf4b9f6d60d8a63531f8f638d8",
+        "power256.el":
+            "c9bc67ee87191fca6292ea75299d83fa49de4b8b815fdeee85033b8c92e3b07b",
+        "rr1024-trim8.el":
+            "cf9d6b97c7f0ed0ed2f9780e8f8d9176bc001f8d40aa3a9139fee207f6bdde51",
+        "rr1024.el":
+            "89c318be687c064a51da0e284553f0dd0c79ac00c037fa2ee8d730260042c2d8",
     },
 }
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from oracles import (
     diameter_per_source,
     girth_by_edge_removal,
     random_connected_graph,
+    walk_matrix_dense,
 )
 
 
@@ -152,6 +154,14 @@ class TestSpectrum:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             spectrum(from_edges(4, [(0, 1), (2, 3)]))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 60), st.integers(0, 2**32), st.integers(0, 120))
+    def test_dense_path_equals_loop_built_matrix(self, n, seed, extra):
+        # the same matrix entries give eigvalsh the same input, so equality is exact
+        g = random_connected_graph(n, seed, extra_edges=extra)
+        w = np.linalg.eigvalsh(walk_matrix_dense(g))
+        assert _extremes_dense(g) == (float(w[-2]), float(w[0]))
 
     def test_iterative_path_matches_dense(self):
         for seed, extra in ((0, 40), (1, 80)):
