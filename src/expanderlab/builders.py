@@ -219,7 +219,7 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 
 def canonical_spec_string(spec: FamilySpec) -> str:
-    """Round-trippable normalized form (fixed key order, defaults filled)."""
+    """Round-trippable normalized form: fixed key order, omitted keys left out."""
     parts = []
     for key in _KEY_ORDER[spec.kind]:
         if key in spec.params:

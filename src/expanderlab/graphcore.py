@@ -9,6 +9,7 @@ u < v; edge subsets elsewhere in the package are plain sets of such pairs.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,9 +46,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u, nbrs in enumerate(self.adj):
@@ -59,17 +57,9 @@ class Graph:
         return frozenset(self.edges())
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
         a = self.adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     @cached_property
     def fingerprint(self) -> str:
@@ -222,21 +212,26 @@ def reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[lis
 
 
 def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf, roots=None):
-    """(length, root) of a shortest cycle shorter than `below`, or None.
+    """(length, cycle) of a shortest cycle shorter than `below`, or None.
 
     BFS from each vertex of `roots` (default: all) with earliest cross/back-
     edge detection (Itai and Rodeh): an edge within BFS layer d closes a cycle
     of length 2d+1, an edge into the next layer one of length 2d+2. The search
     depth shrinks as better cycles are found, so the scan is fast once any
-    short cycle exists. The root is the first root, in the order given, from
-    which the best length was found. A cycle through no root may be missed.
+    short cycle exists. The cycle lists its vertices in order, starting at the
+    first root, in the order given, from which the best length was found: the
+    two BFS-tree paths from that root to the closing edge. A cycle through no
+    root may be missed, and from a root on no shortest cycle the list may be a
+    closed walk rather than a simple cycle: a triangle with a three-edge tail,
+    scanned from the tail's end, gives a walk of 9 down the tail and back.
     """
     best = below
-    best_root = -1
+    cycle = None
     # explore while the current depth <= depth_limit
     depth_limit = n if best == math.inf else (best - 2) // 2
     token = [-1] * n
     dist = [0] * n
+    parent = [0] * n
     # dict.fromkeys drops a repeated root, which would meet its own old tokens
     for s in range(n) if roots is None else dict.fromkeys(roots):
         token[s] = s
@@ -250,6 +245,7 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf, ro
                     if token[v] != s:
                         token[v] = s
                         dist[v] = du + 1
+                        parent[v] = u
                         nxt.append(v)
                     else:
                         dv = dist[v]
@@ -259,13 +255,20 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf, ro
                         length = 2 * du + 2 - delta
                         if length < best:
                             best = length
-                            best_root = s
                             depth_limit = du - delta
+                            cycle = [u]
+                            while cycle[-1] != s:
+                                cycle.append(parent[cycle[-1]])
+                            cycle.reverse()
+                            w = v
+                            while w != s:
+                                cycle.append(w)
+                                w = parent[w]
             frontier = nxt
             du += 1
         if best == 3:
             break
-    return None if best_root < 0 else (best, best_root)
+    return None if cycle is None else (best, cycle)
 
 
 def is_connected(g: Graph) -> bool:

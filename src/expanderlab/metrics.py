@@ -135,17 +135,18 @@ class SpectrumResult:
     gap: float
 
 
-def _walk_matrix_dense(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, nbrs in enumerate(g.adj):
-        for v in nbrs:
-            a[u, v] = 1.0
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * dinv[:, None] * dinv[None, :]
+def _edge_index(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): one entry per directed edge u -> v, in adjacency order."""
+    rows = np.repeat(np.arange(g.n), [len(a) for a in g.adj])
+    cols = np.fromiter((v for a in g.adj for v in a), dtype=np.intp, count=len(rows))
+    return rows, cols
 
 
 def _extremes_dense(g: Graph) -> tuple[float, float]:
-    w = np.linalg.eigvalsh(_walk_matrix_dense(g))
+    a = np.zeros((g.n, g.n))
+    a[_edge_index(g)] = 1.0
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    w = np.linalg.eigvalsh(a * dinv[:, None] * dinv[None, :])
     return float(w[-2]), float(w[0])
 
 
@@ -164,10 +165,7 @@ def _extremes_iterative(g: Graph) -> tuple[float, float]:
     constant seed 0, not a shared generator, so no solve depends on another.
     """
     n = g.n
-    rows, cols = [], []
-    for u, nbrs in enumerate(g.adj):
-        rows.extend([u] * len(nbrs))
-        cols.extend(nbrs)
+    rows, cols = _edge_index(g)
     a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     deg = np.asarray(a.sum(axis=1)).ravel()
     dinv = 1.0 / np.sqrt(deg)

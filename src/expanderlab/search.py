@@ -64,45 +64,6 @@ _PERCOLATE_P_HI = 0.95
 # --- shortest-cycle machinery -------------------------------------------
 
 
-def _reconstruct_cycle(adj, n: int, root: int, length: int) -> list[int]:
-    """Recover the first cycle of exactly `length` detected by BFS from `root`."""
-    parent = [-1] * n
-    dist = [-1] * n
-    dist[root] = 0
-    frontier = [root]
-    du = 0
-    cap = length // 2
-    while frontier and du <= cap:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    parent[v] = u
-                    nxt.append(v)
-                else:
-                    dv = dist[v]
-                    if dv < du:
-                        continue
-                    delta = 1 if dv == du else 0
-                    if 2 * du + 2 - delta == length:
-                        path_u = [u]
-                        while path_u[-1] != root:
-                            path_u.append(parent[path_u[-1]])
-                        path_v = [v]
-                        while path_v[-1] != root:
-                            path_v.append(parent[path_v[-1]])
-                        cycle = list(reversed(path_u)) + path_v[:-1]
-                        if len(set(cycle)) != length:
-                            raise RuntimeError(
-                                f"reconstructed walk of length {length} is not a simple cycle"
-                            )
-                        return cycle
-        frontier = nxt
-        du += 1
-    raise RuntimeError(f"no cycle of length {length} found from root {root}")
-
-
 def trim_to_girth(g: Graph, target: int) -> Graph:
     """Delete edges of shortest cycles until girth >= target.
 
@@ -119,8 +80,9 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
         found = shortest_cycle_scan(adj, n, below=target)
         if found is None:
             break
-        length, root = found
-        cycle = _reconstruct_cycle(adj, n, root, length)
+        length, cycle = found
+        if len(set(cycle)) != length:
+            raise RuntimeError(f"shortest cycle of length {length} is not a simple cycle")
         best_edge = None
         best_score = -1
         for i in range(length):
@@ -385,7 +347,6 @@ def search_spanning_subexpander(
     budget: int = 10_000,
     seed: int = 0,
     host_spectrum: Optional[SpectrumResult] = None,
-    host_diameter: Optional[int] = None,
 ) -> SearchResult:
     """Run one strategy and return its re-validated best spanning candidate.
 
@@ -402,8 +363,7 @@ def search_spanning_subexpander(
         if ratio is None:
             raise ValueError("need a ratio or an absolute girth_target")
         _check_ratio(ratio)
-        d_host = host_diameter if host_diameter is not None else diameter(host)
-        girth_target = math.ceil(ratio * d_host)
+        girth_target = math.ceil(ratio * diameter(host))
     target_eff = max(girth_target, 3)  # girth >= 3 holds vacuously for any target below
 
     base_m = host.m
@@ -506,8 +466,9 @@ def conjecture_probe(
     (connected + girth), else the highest girth reached. Diameter-1 hosts are
     flagged degenerate and skipped in the per-family summaries, which report
     the min-over-instances winning gap per ratio (the empirical f estimate)
-    and whether girth grew with instance size. A repeated ratio, strategy or
-    instance (by canonical spec) is rejected, since it would repeat a cell.
+    and whether girth grew with instance size. A repeated ratio or strategy
+    is rejected, and so is an instance that builds the same graph as an
+    earlier one, since either would repeat a cell.
     """
     for s in strategies:
         if s not in STRATEGIES:
@@ -516,8 +477,7 @@ def conjecture_probe(
         raise ValueError("need at least one family spec and one ratio")
     for c in ratios:
         _check_ratio(c)
-    instances = [canonical_spec_string(spec) for spec in specs]
-    for what, items in (("ratio", ratios), ("strategy", strategies), ("instance", instances)):
+    for what, items in (("ratio", ratios), ("strategy", strategies)):
         seen = set()
         for x in items:
             if x in seen:
@@ -525,78 +485,79 @@ def conjecture_probe(
             seen.add(x)
 
     hosts = []
-    built: dict[str, Graph] = {}  # canonical spec -> graph, so a power: reuses its inner host
-    for spec, key in zip(specs, instances):
+    built: dict[str, Graph] = {}  # canonical spec -> graph, for power: reuse and repeats
+    for spec in specs:
+        key = canonical_spec_string(spec)
         reusable = spec.kind == "power" and spec.inner is not None and "k" in spec.params
         inner = built.get(canonical_spec_string(spec.inner)) if reusable else None
         g = build_family(spec).graph if inner is None else graph_power(inner, spec.params["k"])
+        earlier = next((k for k, h in built.items() if h.fingerprint == g.fingerprint), None)
+        if earlier is not None:
+            raise ValueError(f"repeated instance {key!r}: builds the same graph as {earlier!r}")
         built[key] = g
         if not is_connected(g):
             raise ValueError(f"family instance {key!r} is not connected")
         spec_res = spectrum(g)
         h = cheeger_exact(g, exact_max) if 3 <= g.n <= exact_max else None
-        hosts.append((spec, g, spec_res, diameter(g), h))
-
-    by_cell: dict[tuple[int, int], list[tuple[str, int, SearchResult]]] = {}
-    for i, (spec, g, spec_res, d_host, _h) in enumerate(hosts):
-        for ri, c in enumerate(ratios):
-            target = math.ceil(c * d_host)
-            for si, strat in enumerate(strategies):
-                res = search_spanning_subexpander(
-                    g,
-                    girth_target=target,
-                    strategy=strat,
-                    budget=budget,
-                    seed=split(seed, _PHASE_PROBE, i, ri, si),
-                    host_spectrum=spec_res,
-                    host_diameter=d_host,
-                )
-                by_cell.setdefault((i, ri), []).append((strat, target, res))
+        hosts.append((spec, key, g, spec_res, diameter(g), h))
 
     records: list[ProbeRecord] = []
-    for (i, ri), runs in sorted(by_cell.items()):
-        spec, g, spec_res, d_host, h_host = hosts[i]
-        c = ratios[ri]
-        target = runs[0][1]
-        meeting = [(s, r) for s, _t, r in runs if _meets(r, target)]
-        if meeting:
-            strat, best = min(meeting, key=lambda sr: (-sr[1].gap, sr[0]))
-        else:
-            strat, best = min(
-                ((s, r) for s, _t, r in runs),
-                key=lambda sr: (
-                    -(sr[1].girth_achieved if sr[1].girth_achieved != UNBOUNDED else math.inf),
-                    -sr[1].gap,
-                    sr[0],
-                ),
+    for i, (spec, key, g, spec_res, d_host, h_host) in enumerate(hosts):
+        for ri, c in enumerate(ratios):
+            target = math.ceil(c * d_host)
+            runs = [
+                (
+                    strat,
+                    search_spanning_subexpander(
+                        g,
+                        girth_target=target,
+                        strategy=strat,
+                        budget=budget,
+                        seed=split(seed, _PHASE_PROBE, i, ri, si),
+                        host_spectrum=spec_res,
+                    ),
+                )
+                for si, strat in enumerate(strategies)
+            ]
+            meeting = [(s, r) for s, r in runs if _meets(r, target)]
+            if meeting:
+                strat, best = min(meeting, key=lambda sr: (-sr[1].gap, sr[0]))
+            else:
+                strat, best = min(
+                    runs,
+                    key=lambda sr: (
+                        -(sr[1].girth_achieved if sr[1].girth_achieved != UNBOUNDED else math.inf),
+                        -sr[1].gap,
+                        sr[0],
+                    ),
+                )
+            ratio_achieved = (
+                math.inf
+                if best.girth_achieved == UNBOUNDED
+                else best.girth_achieved / d_host
             )
-        ratio_achieved = (
-            math.inf
-            if best.girth_achieved == UNBOUNDED
-            else best.girth_achieved / d_host
-        )
-        records.append(
-            ProbeRecord(
-                family=base_family_id(spec),
-                instance=canonical_spec_string(spec),
-                n=g.n,
-                m=g.m,
-                d=g.max_degree,
-                host_gap=spec_res.gap,
-                host_h_exact=h_host,
-                diameter=d_host,
-                c=c,
-                girth_target=target,
-                strategy=strat,
-                best_girth=best.girth_achieved,
-                best_gap=best.gap,
-                best_h_exact=best.h_exact,
-                ratio_achieved=ratio_achieved,
-                success=_meets(best, target),
-                degenerate_diameter=d_host <= 1,
-                seed=best.seed,
+            records.append(
+                ProbeRecord(
+                    family=base_family_id(spec),
+                    instance=key,
+                    n=g.n,
+                    m=g.m,
+                    d=g.max_degree,
+                    host_gap=spec_res.gap,
+                    host_h_exact=h_host,
+                    diameter=d_host,
+                    c=c,
+                    girth_target=target,
+                    strategy=strat,
+                    best_girth=best.girth_achieved,
+                    best_gap=best.gap,
+                    best_h_exact=best.h_exact,
+                    ratio_achieved=ratio_achieved,
+                    success=_meets(best, target),
+                    degenerate_diameter=d_host <= 1,
+                    seed=best.seed,
+                )
             )
-        )
 
     families: dict[str, list[ProbeRecord]] = {}
     for rec in records:

@@ -362,6 +362,21 @@ class TestExitCodes:
         assert code == cli.EXIT_INPUT
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("random-regular:n=20,d=3", "random-regular:n=20,d=3,seed=0"),
+            ("cayley:p=5", "cayley:recipe=elementary,p=5,level=1"),
+        ],
+    )
+    def test_probe_same_graph_under_two_specs_is_2(self, tmp_path, first, second):
+        # the specs differ only by a default, so they build one graph
+        out = tmp_path / "probe"
+        code = run(["probe", "--family", first, "--family", second, "--ratios", "0.5",
+                    "--strategies", "trim", "--out-dir", out])
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+
     @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "-1"])
     def test_bad_ratio_is_2(self, tmp_path, ratio):
         host = tmp_path / "c10.el"

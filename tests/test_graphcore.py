@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanderlab import graphcore
 from expanderlab.errors import ComputationRefused
@@ -21,7 +23,7 @@ from expanderlab.graphcore import (
     shortest_cycle_scan,
     write_edge_list_text,
 )
-from oracles import girth_by_edge_removal, random_connected_graph
+from oracles import girth_by_edge_removal, random_connected_graph, reconstruct_cycle
 
 
 def cycle(n):
@@ -40,7 +42,7 @@ class TestFromEdgeList:
     def test_c4(self):
         g = from_edge_list(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
         assert g.m == 4
-        assert all(g.degree(v) == 2 for v in range(4))
+        assert all(len(g.adj[v]) == 2 for v in range(4))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -172,6 +174,11 @@ class TestPairDistance:
             pair_distance(cycle(4).adj, -1, 0)
 
 
+def length_root(found):
+    """(length, root) of a scan result: the cycle starts at its root."""
+    return None if found is None else (found[0], found[1][0])
+
+
 class TestShortestCycleScan:
     def graphs(self):
         for seed in range(40):
@@ -186,28 +193,29 @@ class TestShortestCycleScan:
             for below in (*range(3, 10), math.inf):
                 found = shortest_cycle_scan(g.adj, g.n, below=below)
                 if oracle < below:
-                    length, root = found
+                    length, cyc = found
                     assert length == oracle
-                    assert 0 <= root < g.n
+                    assert 0 <= cyc[0] < g.n
                 else:
                     assert found is None
 
     def test_bound_just_above_girth_keeps_length_and_root(self):
         # below = girth + 1 admits only shortest cycles, so the pruned scan
-        # must report the same (length, root) as the unbounded one
+        # must report the same (length, cycle) as the unbounded one
         for g in self.graphs():
             found = shortest_cycle_scan(g.adj, g.n)
             if found is None:
                 continue
-            length, root = found
+            length, _ = found
             assert shortest_cycle_scan(g.adj, g.n, below=length + 1) == found
             assert shortest_cycle_scan(g.adj, g.n, below=length) is None
 
     def test_rooted_scan_is_min_over_single_roots(self):
         rng = random.Random(7)
         for g in self.graphs():
-            single = [shortest_cycle_scan(g.adj, g.n, roots=(r,)) for r in range(g.n)]
-            assert min((f for f in single if f), default=None) == shortest_cycle_scan(g.adj, g.n)
+            single = [length_root(shortest_cycle_scan(g.adj, g.n, roots=(r,))) for r in range(g.n)]
+            full = length_root(shortest_cycle_scan(g.adj, g.n))
+            assert min((f for f in single if f), default=None) == full
             for _ in range(5):
                 roots = rng.sample(range(g.n), rng.randint(1, g.n))
                 hits = [(single[r][0], i) for i, r in enumerate(roots) if single[r]]
@@ -215,16 +223,54 @@ class TestShortestCycleScan:
                     assert shortest_cycle_scan(g.adj, g.n, roots=roots) is None
                     continue
                 length, i = min(hits)  # the first root, in the given order, at the best length
-                assert shortest_cycle_scan(g.adj, g.n, roots=roots) == (length, roots[i])
-                assert shortest_cycle_scan(g.adj, g.n, roots=roots + roots) == (length, roots[i])
+                found = length_root(shortest_cycle_scan(g.adj, g.n, roots=roots))
+                assert found == (length, roots[i])
+                twice = length_root(shortest_cycle_scan(g.adj, g.n, roots=roots + roots))
+                assert twice == (length, roots[i])
 
     def test_root_off_every_shortest_cycle_overestimates(self):
         # triangle 0-1-2 with the tail 2-3-4-5: from the tail's end the first
-        # closing edge is 0-1 at depth 4, so the scan reports 9, not 3; hence
-        # only a vertex-transitive caller may scan from one root
+        # closing edge is 0-1 at depth 4, so the scan reports 9, not 3, and a
+        # closed walk down the tail and back; hence only a vertex-transitive
+        # caller may scan from one root
         g = from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
-        assert shortest_cycle_scan(g.adj, g.n, roots=(5,)) == (9, 5)
-        assert shortest_cycle_scan(g.adj, g.n) == (3, 0)
+        assert shortest_cycle_scan(g.adj, g.n, roots=(5,)) == (9, [5, 4, 3, 2, 0, 1, 2, 3, 4])
+        assert shortest_cycle_scan(g.adj, g.n) == (3, [0, 1, 2])
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        st.data(),
+        st.integers(1, 16),
+        st.sampled_from([3, 4, 5, 6, 7, 8, 10, math.inf]),
+        st.booleans(),
+    )
+    def test_cycle_is_the_reconstructed_one(self, data, n, below, rooted):
+        # the scan's walk is the one a second BFS from its root rebuilds at its
+        # length; a walk that is not a simple cycle (rooted scans only) is
+        # exactly where that rebuild refuses
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        )
+        g = from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        roots = None
+        if rooted:
+            roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        found = shortest_cycle_scan(g.adj, g.n, below=below, roots=roots)
+        oracle = girth_by_edge_removal(g)
+        if found is None:
+            assert rooted or oracle >= below
+            return
+        length, cyc = found
+        assert len(cyc) == length < below
+        assert all(g.has_edge(cyc[i], cyc[(i + 1) % length]) for i in range(length))
+        if len(set(cyc)) == length:
+            assert reconstruct_cycle(g.adj, g.n, cyc[0], length) == cyc
+        else:
+            assert rooted and length > oracle
+            with pytest.raises(RuntimeError, match="not a simple cycle"):
+                reconstruct_cycle(g.adj, g.n, cyc[0], length)
+        if not rooted:
+            assert length == oracle
 
 
 class TestConnectivity:
@@ -264,7 +310,7 @@ class TestInducedBall:
     def test_c10_r2_is_path(self):
         ball, _ = induced_ball(cycle(10), 0, 2)
         assert ball.n == 5 and ball.m == 4
-        degs = sorted(ball.degree(v) for v in range(5))
+        degs = sorted(len(ball.adj[v]) for v in range(5))
         assert degs == [1, 1, 2, 2, 2]
 
     def test_r0(self):
@@ -309,7 +355,7 @@ class TestEdgeSubgraph:
 
     def test_c4_minus_edge_is_path(self):
         sub = edge_subgraph(cycle(4), [(0, 1), (1, 2), (2, 3)])
-        assert sorted(sub.degree(v) for v in range(4)) == [1, 1, 2, 2]
+        assert sorted(len(sub.adj[v]) for v in range(4)) == [1, 1, 2, 2]
 
     def test_foreign_edge_rejected(self):
         with pytest.raises(ValueError, match="not present"):

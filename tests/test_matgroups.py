@@ -158,7 +158,7 @@ class TestCayleyGraph:
         assert res.reached_order == 24
         assert res.full_group_order == 24
         assert res.graph.max_degree == 4
-        assert all(res.graph.degree(v) == 4 for v in range(res.graph.n))
+        assert all(len(res.graph.adj[v]) == 4 for v in range(res.graph.n))
 
     def test_elementary_q2_order6(self):
         res = cayley_graph(elementary(2))
@@ -203,7 +203,7 @@ class TestCayleyGraph:
         stream = Stream(99)
         for _ in range(10):
             v = stream.randrange(g.n)
-            assert g.degree(v) == g.degree(0)
+            assert len(g.adj[v]) == len(g.adj[0])
             assert sorted(bfs_distances(g.adj, v)) == base
 
     def test_labels_are_row_major_entries(self):
