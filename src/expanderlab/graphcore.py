@@ -9,8 +9,8 @@ u < v; edge subsets elsewhere in the package are plain sets of such pairs.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
