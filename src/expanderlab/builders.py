@@ -147,6 +147,14 @@ _KEY_ORDER = {
 }
 
 
+# values of the keys a spec may leave out; `build_family` and
+# `with_defaults` both read them
+_DEFAULTS = {
+    "random-regular": {"seed": 0},
+    "cayley": {"recipe": "elementary", "level": 1},
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parsed family descriptor; `inner`/`inner2` hold nested specs."""
@@ -231,6 +239,20 @@ def canonical_spec_string(spec: FamilySpec) -> str:
     return spec.kind + (":" + ",".join(parts) if parts else "")
 
 
+def with_defaults(spec: FamilySpec) -> FamilySpec:
+    """`spec` with every omitted key that has a default filled in, inner specs too.
+
+    Two specs that build the same family have the same canonical string
+    once filled, whichever defaults each spelled out.
+    """
+    return FamilySpec(
+        kind=spec.kind,
+        params={**_DEFAULTS.get(spec.kind, {}), **spec.params},
+        inner=None if spec.inner is None else with_defaults(spec.inner),
+        inner2=None if spec.inner2 is None else with_defaults(spec.inner2),
+    )
+
+
 def base_family_id(spec: FamilySpec) -> str:
     """Group id for probe reports: the spec with power wrappers stripped.
 
@@ -250,11 +272,11 @@ class BuildResult:
 
 def build_family(spec: FamilySpec) -> BuildResult:
     """Construct the graph a FamilySpec describes."""
-    kind, p = spec.kind, spec.params
+    kind, p = spec.kind, {**_DEFAULTS.get(spec.kind, {}), **spec.params}
     if kind == "random-regular":
         _require(p, "n", "d", spec)
         graphcore.check_vertex_count(p["n"])
-        return BuildResult(random_regular(p["n"], p["d"], p.get("seed", 0)))
+        return BuildResult(random_regular(p["n"], p["d"], p["seed"]))
     if kind in ("cycle", "complete"):
         _require(p, "n", None, spec)
         graphcore.check_vertex_count(p["n"])
@@ -265,9 +287,7 @@ def build_family(spec: FamilySpec) -> BuildResult:
         from . import matgroups
 
         _require(p, "p", None, spec)
-        recipe = p.get("recipe", "elementary")
-        level = p.get("level", 1)
-        result = matgroups.cayley_from_recipe(recipe, p["p"], level)
+        result = matgroups.cayley_from_recipe(p["recipe"], p["p"], p["level"])
         return BuildResult(result.graph, labels=result.labels)
     if kind == "power":
         if spec.inner is None:

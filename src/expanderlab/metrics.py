@@ -12,13 +12,14 @@ Conventions:
     graphs. Both encode as JSON null plus a boolean flag.
   - Exact subset enumerations refuse above `max_n` (default 24) instead of
     silently running for hours, and always above n = 26: at n = 26 their
-    8*2^n-byte tables already take 512 MiB (h) and 1 GiB (conductance).
+    4*2^n-byte tables already take 256 MiB (one uint32 table for h, two
+    uint16 tables for conductance). The tables are built and read by numpy
+    passes over SUBSET_CHUNK subsets at a time.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
@@ -36,32 +37,53 @@ UNBOUNDED = math.inf
 
 DEFAULT_EXACT_MAX = 24
 _EXACT_N_CAP = 26
+#: Subsets per numpy pass of the exact enumerations, a power of two: each
+#: pass's temporaries take a few bytes per subset, beside 4 bytes per subset
+#: of tables.
+SUBSET_CHUNK = 1 << 16
 _DENSE_EIGEN_LIMIT = 512
 _EIGEN_TOL = 1e-9
 _EIGEN_MAX_ITER = 100_000
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
-    masks = []
-    for nbrs in g.adj:
-        m = 0
-        for v in nbrs:
-            m |= 1 << v
-        masks.append(m)
-    return masks
+    return [sum(1 << v for v in nbrs) for nbrs in g.adj]
 
 
-def _check_exact_size(n: int, max_n: int, tables: int) -> None:
-    """Refuse an exact enumeration before its `tables` 8*2^n-byte tables exist."""
+def _check_exact_size(n: int, max_n: int) -> None:
+    """Refuse an exact enumeration before its 4-bytes-per-subset tables exist."""
     if n > max_n:
         raise ComputationRefused(
             f"exact computation refused: n={n} exceeds max_n={max_n} (2^n subsets)"
         )
     if n > _EXACT_N_CAP:
         raise ComputationRefused(
-            f"exact computation refused: n={n} needs {tables * 8 << n} bytes of subset "
+            f"exact computation refused: n={n} needs {4 << n} bytes of subset "
             f"tables; the limit is n={_EXACT_N_CAP}"
         )
+
+
+def _chunks(n: int):
+    """(lo, offsets): the subsets lo | offsets, for lo over the SUBSET_CHUNK blocks of 2^n."""
+    offsets = np.arange(min(SUBSET_CHUNK, 1 << n), dtype=np.uint32)
+    for lo in range(0, 1 << n, SUBSET_CHUNK):
+        yield lo, offsets
+
+
+def _fold_least(num: np.ndarray, den: np.ndarray, admissible: np.ndarray, best):
+    """The lesser of `best` = (num, den) and the chunk's least admissible num/den.
+
+    The float ratio only nominates the chunk's candidate: ratios here have
+    numerators and denominators below 2^10, so two different ones differ by
+    far more than a rounding error, and the float least is an exact least.
+    The integer cross-multiplication decides.
+    """
+    ratio = np.divide(num, den, out=np.full(len(num), np.inf), where=admissible)
+    i = int(ratio.argmin())
+    if ratio[i] == np.inf:
+        return best
+    a, b = int(num[i]), int(den[i])
+    return (a, b) if a * best[1] < best[0] * b else best
 
 
 def cheeger_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
@@ -73,26 +95,22 @@ def cheeger_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
     n = g.n
     if n < 3:
         raise ValueError(f"graph too small for vertex expansion (n={n} < 3)")
-    _check_exact_size(n, max_n, tables=1)
+    _check_exact_size(n, max_n)
     nbr = _neighbor_masks(g)
-    full = (1 << n) - 1
     # union_adj[S] = union of neighborhoods over members of S, built by
-    # peeling the lowest bit (each mask extends a previously seen one).
-    union_adj = array("Q", bytes(8 * (1 << n)))
-    best_num, best_den = 1, 0  # boundary / size as an integer pair; 1/0 = unset
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        ua = union_adj[mask ^ low] | nbr[v]
-        union_adj[mask] = ua
-        size = mask.bit_count()
-        if 2 * size >= n:
-            continue
-        boundary = (ua & ~mask & full).bit_count()
-        # boundary/size < best_num/best_den by cross-multiplication
-        if boundary * best_den < best_num * size:
-            best_num, best_den = boundary, size
-    return Fraction(best_num, best_den)
+    # doubling: the subsets containing v as their top vertex are those of
+    # 0..v-1 with v added.
+    union_adj = np.zeros(1 << n, dtype=np.uint32)
+    for v in range(n):
+        half = 1 << v
+        np.bitwise_or(union_adj[:half], nbr[v], out=union_adj[half : 2 * half])
+    best = (1, 0)  # boundary / size as an integer pair; 1/0 = unset
+    for lo, offsets in _chunks(n):
+        subsets = offsets | lo
+        size = np.bitwise_count(subsets)
+        boundary = np.bitwise_count(union_adj[lo : lo + len(offsets)] & ~subsets)
+        best = _fold_least(boundary, size, (size > 0) & (2 * size < n), best)
+    return Fraction(*best)
 
 
 def conductance_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
@@ -103,29 +121,30 @@ def conductance_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
     n = g.n
     if n < 2:
         raise ValueError(f"graph too small for conductance (n={n} < 2)")
-    _check_exact_size(n, max_n, tables=2)
+    _check_exact_size(n, max_n)
     if not is_connected(g):
         raise ValueError("conductance_exact requires a connected graph")
     nbr = _neighbor_masks(g)
     deg = [len(a) for a in g.adj]
     vol_total = sum(deg)
-    vol = array("Q", bytes(8 * (1 << n)))
-    e_in = array("Q", bytes(8 * (1 << n)))
-    best_num, best_den = 1, 0  # cut / volume; 1/0 = unset
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        vs = vol[rest] + deg[v]
-        es = e_in[rest] + (nbr[v] & rest).bit_count()
-        vol[mask] = vs
-        e_in[mask] = es
-        if 2 * vs > vol_total:
-            continue
-        cut = vs - 2 * es
-        if cut * best_den < best_num * vs:
-            best_num, best_den = cut, vs
-    return Fraction(best_num, best_den)
+    # vol[S] and e_in[S] (edges inside S) by doubling on the top vertex v:
+    # adding v to a subset R of 0..v-1 adds deg(v) and |nbr(v) & R|. Chunk
+    # offsets and lo have disjoint bits, so that count splits in two.
+    vol = np.zeros(1 << n, dtype=np.uint16)
+    e_in = np.zeros(1 << n, dtype=np.uint16)
+    for v in range(n):
+        half = 1 << v
+        np.add(vol[:half], deg[v], out=vol[half : 2 * half])
+        for lo, offsets in _chunks(v):
+            hi = lo + len(offsets)
+            inside = np.bitwise_count(offsets & nbr[v]) + (lo & nbr[v]).bit_count()
+            np.add(e_in[lo:hi], inside, out=e_in[half + lo : half + hi])
+    best = (1, 0)  # cut / volume; 1/0 = unset
+    for lo, offsets in _chunks(n):
+        vs = vol[lo : lo + len(offsets)]
+        cut = vs - 2 * e_in[lo : lo + len(offsets)]
+        best = _fold_least(cut, vs, (vs > 0) & (2 * vs <= vol_total), best)
+    return Fraction(*best)
 
 
 @dataclass(frozen=True)

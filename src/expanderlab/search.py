@@ -22,7 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .builders import FamilySpec, base_family_id, build_family, canonical_spec_string, graph_power
+from . import graphcore
+from .builders import (
+    FamilySpec,
+    base_family_id,
+    build_family,
+    canonical_spec_string,
+    graph_power,
+    with_defaults,
+)
 from .graphcore import (
     UNREACHABLE,
     Graph,
@@ -131,6 +139,51 @@ def reconnect_repair(host: Graph, sub: Iterable[tuple[int, int]]) -> frozenset[t
     return frozenset(edges)
 
 
+def _far_candidates(host: Graph, kept, adj, need: int) -> list[tuple]:
+    """(-dist_sub(u, v), u, v) for the host edges u < v not kept and at least
+    `need` apart in `adj`, with -inf for the pairs it cannot connect.
+
+    Runs `graphcore.reach_levels` over blocks of sources u, with each v's
+    candidates as a bitmask of u's: the bits set by level need - 1 are too
+    close, and a bit first set at a later level d is a pair at distance d.
+    """
+    cand: dict[int, int] = {}
+    for u, v in host.edges():
+        if (u, v) not in kept:
+            cand[v] = cand.get(v, 0) | 1 << u
+    out = []
+
+    def emit(neg, bits, lo, v):
+        while bits:
+            low = bits & -bits
+            out.append((neg, lo + low.bit_length() - 1, v))
+            bits ^= low
+
+    for lo in range(0, host.n, graphcore.REACH_BLOCK):
+        hi = min(lo + graphcore.REACH_BLOCK, host.n)
+        block = (1 << (hi - lo)) - 1
+        pending = {v: c >> lo & block for v, c in cand.items() if c >> lo & block}
+        for d, reach in enumerate(graphcore.reach_levels(adj, lo, hi)):
+            if not pending:
+                break
+            if d < need - 1:
+                continue
+            for v, bits in list(pending.items()):
+                new = reach[v] & bits
+                if new:
+                    if d >= need:
+                        emit(-d, new, lo, v)
+                    if new == bits:
+                        del pending[v]
+                    else:
+                        pending[v] = bits ^ new
+        for v, bits in pending.items():
+            # a bit set in the last level is a pair closer than need (the
+            # levels stopped before need - 1); the others are never joined
+            emit(-math.inf, bits & ~reach[v], lo, v)
+    return out
+
+
 def augment_edges(
     host: Graph,
     sub: Iterable[tuple[int, int]],
@@ -159,14 +212,7 @@ def augment_edges(
         adj[u].append(v)
         adj[v].append(u)
     need = girth_floor - 1
-    heap = []
-    for u, v in host.edges():
-        if (u, v) not in kept:
-            d = pair_distance(adj, u, v)
-            if d == UNREACHABLE:
-                heap.append((-math.inf, u, v))
-            elif d >= need:
-                heap.append((-d, u, v))
+    heap = _far_candidates(host, kept, adj, need)
     heapq.heapify(heap)
     adds = 0
     while heap and adds < budget:
@@ -485,16 +531,19 @@ def conjecture_probe(
             seen.add(x)
 
     hosts = []
-    built: dict[str, Graph] = {}  # canonical spec -> graph, for power: reuse and repeats
+    built: dict[str, Graph] = {}  # canonical spec, defaults filled -> graph, for power: reuse
+    first: dict[str, str] = {}  # fingerprint -> the instance that built it, for repeats
     for spec in specs:
         key = canonical_spec_string(spec)
         reusable = spec.kind == "power" and spec.inner is not None and "k" in spec.params
-        inner = built.get(canonical_spec_string(spec.inner)) if reusable else None
+        inner = built.get(canonical_spec_string(with_defaults(spec.inner))) if reusable else None
         g = build_family(spec).graph if inner is None else graph_power(inner, spec.params["k"])
-        earlier = next((k for k, h in built.items() if h.fingerprint == g.fingerprint), None)
-        if earlier is not None:
-            raise ValueError(f"repeated instance {key!r}: builds the same graph as {earlier!r}")
-        built[key] = g
+        if g.fingerprint in first:
+            raise ValueError(
+                f"repeated instance {key!r}: builds the same graph as {first[g.fingerprint]!r}"
+            )
+        first[g.fingerprint] = key
+        built[canonical_spec_string(with_defaults(spec))] = g
         if not is_connected(g):
             raise ValueError(f"family instance {key!r} is not connected")
         spec_res = spectrum(g)

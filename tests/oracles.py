@@ -4,7 +4,9 @@ Everything here deliberately avoids the implementation paths it checks:
 subset enumeration uses itertools and Python sets (not bitmask DP), girth
 uses the edge-removal method (not the layered BFS scan), diameter uses
 Floyd-Warshall or one plain BFS per source (not the bit-parallel
-all-sources BFS). `reconstruct_cycle` rebuilds a shortest cycle by a second
+all-sources BFS). `cheeger_dp` and `conductance_dp` are the exact
+enumerations as they once were, one interpreted step per subset.
+`reconstruct_cycle` rebuilds a shortest cycle by a second
 pruned BFS, as trimming once did, and `walk_matrix_dense` fills the walk
 matrix in a Python loop, as the dense spectrum once did. The search
 references at the end are the plain versions of `augment_edges` and
@@ -15,6 +17,7 @@ freeness of a generator pair in SL(2, Z) up to a word length.
 
 import heapq
 import math
+from array import array
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -170,6 +173,68 @@ def random_connected_graph(n: int, seed: int, extra_edges: int = 0) -> Graph:
             edges.add(e)
             extra_edges -= 1
     return from_edges(n, edges)
+
+
+# --- subset-table references ----------------------------------------------
+
+
+def _neighbor_masks(g: Graph) -> list[int]:
+    masks = []
+    for nbrs in g.adj:
+        m = 0
+        for v in nbrs:
+            m |= 1 << v
+        masks.append(m)
+    return masks
+
+
+def cheeger_dp(g: Graph) -> Fraction:
+    """`metrics.cheeger_exact` as one interpreted lowest-bit step per subset."""
+    n = g.n
+    nbr = _neighbor_masks(g)
+    full = (1 << n) - 1
+    # union_adj[S] = union of neighborhoods over members of S, built by
+    # peeling the lowest bit (each mask extends a previously seen one).
+    union_adj = array("Q", bytes(8 * (1 << n)))
+    best_num, best_den = 1, 0  # boundary / size as an integer pair; 1/0 = unset
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        ua = union_adj[mask ^ low] | nbr[v]
+        union_adj[mask] = ua
+        size = mask.bit_count()
+        if 2 * size >= n:
+            continue
+        boundary = (ua & ~mask & full).bit_count()
+        # boundary/size < best_num/best_den by cross-multiplication
+        if boundary * best_den < best_num * size:
+            best_num, best_den = boundary, size
+    return Fraction(best_num, best_den)
+
+
+def conductance_dp(g: Graph) -> Fraction:
+    """`metrics.conductance_exact` as one interpreted lowest-bit step per subset."""
+    n = g.n
+    nbr = _neighbor_masks(g)
+    deg = [len(a) for a in g.adj]
+    vol_total = sum(deg)
+    vol = array("Q", bytes(8 * (1 << n)))
+    e_in = array("Q", bytes(8 * (1 << n)))
+    best_num, best_den = 1, 0  # cut / volume; 1/0 = unset
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        vs = vol[rest] + deg[v]
+        es = e_in[rest] + (nbr[v] & rest).bit_count()
+        vol[mask] = vs
+        e_in[mask] = es
+        if 2 * vs > vol_total:
+            continue
+        cut = vs - 2 * es
+        if cut * best_den < best_num * vs:
+            best_num, best_den = cut, vs
+    return Fraction(best_num, best_den)
 
 
 # --- cycle and walk-matrix references ---------------------------------------

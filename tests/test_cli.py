@@ -310,7 +310,7 @@ class TestExitCodes:
         save_graph(random_connected_graph(40, 3, extra_edges=20), path)
         code = run(["measure", path, "--exact-max", 40, "-o", tmp_path / "r.json"])
         assert code == cli.EXIT_REFUSED
-        assert f"needs {8 << 40} bytes" in capsys.readouterr().err
+        assert f"needs {4 << 40} bytes" in capsys.readouterr().err
 
     def test_vertex_cap_is_3(self, tmp_path, capsys):
         # a 12-byte header asking for 10^9 vertices is refused before allocation

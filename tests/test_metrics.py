@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -32,6 +33,8 @@ from expanderlab.rng import Stream
 from oracles import (
     brute_cheeger,
     brute_conductance,
+    cheeger_dp,
+    conductance_dp,
     diameter_floyd,
     diameter_per_source,
     girth_by_edge_removal,
@@ -83,11 +86,11 @@ class TestCheegerExact:
             cheeger_exact(g, max_n=8)
 
     def test_refused_above_table_limit_whatever_max_n(self):
-        # the 2^n tables are never allocated: 8 * 2^40 bytes would be 8 TiB
+        # the 2^n tables are never allocated: 4 * 2^40 bytes would be 4 TiB
         g = random_connected_graph(40, 2, extra_edges=20)
-        with pytest.raises(ComputationRefused, match=f"needs {8 << 40} bytes"):
+        with pytest.raises(ComputationRefused, match=f"needs {4 << 40} bytes"):
             cheeger_exact(g, max_n=40)
-        with pytest.raises(ComputationRefused, match=f"needs {16 << 40} bytes"):
+        with pytest.raises(ComputationRefused, match=f"needs {4 << 40} bytes"):
             conductance_exact(g, max_n=40)
 
     def test_disconnected_small_component_gives_zero(self):
@@ -124,6 +127,56 @@ class TestConductanceExact:
         g = from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             conductance_exact(g)
+
+
+class TestSubsetTables:
+    """The numpy subset tables against set enumeration and the per-subset loops."""
+
+    @settings(max_examples=250, deadline=None, database=None, derandomize=True)
+    @given(st.data(), st.integers(2, 12), st.booleans(), st.sampled_from([1, 8, 64, 1 << 16]))
+    def test_matches_brute_force(self, data, n, spanning, chunk):
+        # disconnected graphs and isolated vertices included for h; chunks
+        # below 2^n split the subsets into several passes
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+        )
+        if spanning:
+            pairs += [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        g = from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        with mock.patch.object(metrics, "SUBSET_CHUNK", chunk):
+            if n >= 3:
+                assert cheeger_exact(g) == brute_cheeger(g)
+            if graphcore.is_connected(g):
+                assert conductance_exact(g) == brute_conductance(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            builders.random_regular(17, 4, 3),
+            builders.random_regular(18, 3, 5),
+            random_connected_graph(18, 6, extra_edges=5),
+            from_edges(18, [(i, i + 1) for i in range(7)] + [(9, 10), (10, 11), (9, 11)]),
+        ],
+        ids=["rr17", "rr18", "tree18", "paths-and-isolated18"],
+    )
+    def test_matches_per_subset_loops_across_chunks(self, g):
+        assert 1 << g.n >= 2 * metrics.SUBSET_CHUNK  # two chunks or more
+        assert cheeger_exact(g) == cheeger_dp(g)
+        if graphcore.is_connected(g):
+            assert conductance_exact(g) == conductance_dp(g)
+
+    def test_peak_memory_is_the_tables_plus_a_chunk(self):
+        g = builders.random_regular(20, 3, 1)
+        tables = 4 << g.n  # 4 bytes per subset: uint32 for h, two uint16 for conductance
+        for fn in (cheeger_exact, conductance_exact):
+            fn(g)  # first-call allocations stay out of the measured run
+            tracemalloc.start()
+            try:
+                fn(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < tables + 32 * metrics.SUBSET_CHUNK, fn.__name__
 
 
 class TestSpectrum:

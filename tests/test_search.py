@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import builders, metrics
+from expanderlab import builders, graphcore, metrics
 from expanderlab.builders import (
     graph_power,
     named_graph,
@@ -20,13 +21,19 @@ from expanderlab.search import (
     _ANNEAL_PENALTY_DISC,
     SearchResult,
     _anneal,
+    _far_candidates,
     augment_edges,
     conjecture_probe,
     reconnect_repair,
     search_spanning_subexpander,
     trim_to_girth,
 )
-from oracles import anneal_reference, augment_edges_reference, random_connected_graph
+from oracles import (
+    anneal_reference,
+    augment_edges_reference,
+    bfs_distances,
+    random_connected_graph,
+)
 
 
 def cycle(n):
@@ -218,6 +225,33 @@ class TestAgainstReferences:
             host, sub, floor, budget
         )
 
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 80), st.sampled_from([1, 3, 7]))
+    def test_augment_edges_in_source_blocks(self, host_sub, floor, budget, block):
+        # blocks below n split the all-sources pass that fills the first heap
+        host, sub = host_sub
+        with mock.patch.object(graphcore, "REACH_BLOCK", block):
+            got = augment_edges(host, sub, floor, budget)
+        assert got == augment_edges_reference(host, sub, floor, budget)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_host_and_subset(), st.integers(2, 6), st.sampled_from([1, 3, 4096]))
+    def test_first_heap_is_the_pair_distances(self, host_sub, need, block):
+        # the pop loop re-measures every pair, so only this sees a wrong first heap
+        host, sub = host_sub
+        kept = {(min(u, v), max(u, v)) for u, v in sub}
+        adj = [[] for _ in range(host.n)]
+        for u, v in kept:
+            adj[u].append(v)
+            adj[v].append(u)
+        expected = []
+        for u, v in host.edges():
+            d = bfs_distances(adj, u)[v]
+            if (u, v) not in kept and (d < 0 or d >= need):
+                expected.append((-math.inf if d < 0 else -d, u, v))
+        with mock.patch.object(graphcore, "REACH_BLOCK", block):
+            assert sorted(_far_candidates(host, kept, adj, need)) == sorted(expected)
+
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
     def test_anneal(self, host_sub, target, budget, seed):
@@ -381,6 +415,26 @@ class TestProbe:
         ]
         conjecture_probe(specs, ratios=[0.25], strategies=("trim",), budget=10, seed=1)
         assert calls == [(26, 4, 2)]
+
+    def test_power_reuses_inner_host_spelled_without_defaults(self):
+        # the inner spec leaves out seed=0, which the earlier instance spells out
+        specs = [
+            parse_family_spec("random-regular:n=20,d=3,seed=0"),
+            parse_family_spec("power:k=2,inner=(random-regular:n=20,d=3)"),
+        ]
+        with mock.patch.object(
+            builders, "random_regular", wraps=builders.random_regular
+        ) as built:
+            records, _ = conjecture_probe(
+                specs, ratios=[0.25], strategies=("trim",), budget=10, seed=1
+            )
+        assert built.call_count == 1
+        assert [r.instance for r in records] == [
+            "random-regular:n=20,d=3,seed=0",
+            "power:k=2,inner=(random-regular:n=20,d=3)",
+        ]
+        assert {r.family for r in records} == {"random-regular:n=20,d=3,seed=0",
+                                               "random-regular:n=20,d=3"}
 
     def test_deterministic(self):
         specs = [parse_family_spec("random-regular:n=20,d=4,seed=3")]
