@@ -20,10 +20,11 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from statistics import median
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,9 +150,23 @@ def conductance_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """lambda2 of the walk operator, with gap and rho_star derived from it.
+
+    rho_star needs the other end of the spectrum, lambda_n. It is solved on
+    first read and then cached, so a caller that reads only lambda2 or gap
+    pays for one Lanczos solve above n = 512.
+    """
+
     lambda2: float
-    rho_star: float
-    gap: float
+    solve_lambda_n: Callable[[], float] = field(repr=False, compare=False)
+
+    @property
+    def gap(self) -> float:
+        return 1.0 - self.lambda2
+
+    @cached_property
+    def rho_star(self) -> float:
+        return max(abs(self.lambda2), abs(self.solve_lambda_n()))
 
 
 def _edge_index(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -169,19 +184,20 @@ def _extremes_dense(g: Graph) -> tuple[float, float]:
     return float(w[-2]), float(w[0])
 
 
-def _extremes_iterative(g: Graph) -> tuple[float, float]:
-    """Lanczos with exact deflation of the known principal eigenvector.
+def _extreme_iterative(g: Graph, which: str) -> float:
+    """lambda2 (which="LA") or lambda_n (which="SA") by Lanczos.
 
     The walk operator M = D^{-1/2} A D^{-1/2} has top eigenpair (1, D^{1/2}1).
-    Shifting that pair to -1 via a rank-one update makes lambda2 the largest
-    algebraic eigenvalue of the deflated operator, and lambda_n stays the
-    smallest of M itself. Plain block orthogonal iteration was measured to
+    For "LA" that pair is shifted to -1 via a rank-one update, which makes
+    lambda2 the largest algebraic eigenvalue of the deflated operator; "SA"
+    solves M itself. Plain block orthogonal iteration was measured to
     contract too slowly here (the spectrum is dense near lambda2 on the big
     Cayley graphs), so the Krylov solver does the iteration work instead.
 
     ARPACK draws restart vectors from `rng`, from OS entropy if unset, which
     moves the last bits between calls and processes. Each call gets the
-    constant seed 0, not a shared generator, so no solve depends on another.
+    constant seed 0, not a shared generator, so neither end depends on
+    whether or when the other was solved.
     """
     n = g.n
     rows, cols = _edge_index(g)
@@ -197,23 +213,20 @@ def _extremes_iterative(g: Graph) -> tuple[float, float]:
     def mv_deflated(x: np.ndarray) -> np.ndarray:
         return mv(x) - 2.0 * v1 * (v1 @ x)
 
+    matvec = mv_deflated if which == "LA" else mv
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
-        lam2, lam_n = (
-            float(
-                eigsh(
-                    LinearOperator((n, n), matvec=matvec, dtype=float),
-                    k=1, which=which, tol=_EIGEN_TOL, v0=v0, ncv=64,
-                    maxiter=_EIGEN_MAX_ITER, return_eigenvectors=False, rng=0,
-                )[0]
-            )
-            for matvec, which in ((mv_deflated, "LA"), (mv, "SA"))
+        return float(
+            eigsh(
+                LinearOperator((n, n), matvec=matvec, dtype=float),
+                k=1, which=which, tol=_EIGEN_TOL, v0=v0, ncv=64,
+                maxiter=_EIGEN_MAX_ITER, return_eigenvectors=False, rng=0,
+            )[0]
         )
     except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
         raise ComputationRefused(f"eigensolver failed to converge: {exc}") from None
-    return lam2, lam_n
 
 
 def spectrum(g: Graph) -> SpectrumResult:
@@ -221,10 +234,11 @@ def spectrum(g: Graph) -> SpectrumResult:
 
     lambda2 is the second-largest eigenvalue, rho_star = max(|lambda2|,
     |lambda_n|) is the nontrivial spectral radius, gap = 1 - lambda2. Dense
-    symmetric solve up to n=512, deflated Lanczos (ARPACK eigsh) with a
-    fixed seed above, so results are bit-identical across calls and
-    processes. Disconnected graphs are rejected (lambda2 = 1 would be
-    ambiguous).
+    symmetric solve up to n=512, which gives both ends at once; above it,
+    deflated Lanczos (ARPACK eigsh) with a fixed seed solves lambda2 here
+    and lambda_n only when rho_star is first read. Results are bit-identical
+    across calls and processes, whichever ends are read. Disconnected graphs
+    are rejected (lambda2 = 1 would be ambiguous).
     """
     if g.n < 2:
         raise ValueError(f"spectrum needs n >= 2, got n={g.n}")
@@ -232,11 +246,8 @@ def spectrum(g: Graph) -> SpectrumResult:
         raise ValueError("spectrum requires a connected graph")
     if g.n <= _DENSE_EIGEN_LIMIT:
         lam2, lam_n = _extremes_dense(g)
-    else:
-        lam2, lam_n = _extremes_iterative(g)
-    return SpectrumResult(
-        lambda2=lam2, rho_star=max(abs(lam2), abs(lam_n)), gap=1.0 - lam2
-    )
+        return SpectrumResult(lam2, lambda: lam_n)
+    return SpectrumResult(_extreme_iterative(g, "LA"), lambda: _extreme_iterative(g, "SA"))
 
 
 def girth(g: Graph, vertex_transitive: bool = False):

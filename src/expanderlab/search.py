@@ -297,7 +297,9 @@ def _anneal(
     def exact_gap(components: int) -> float:
         if components > 1 or n < 2:
             return 0.0
-        return spectrum(edge_subgraph(host, kept)).gap
+        # adj is symmetric, loop-free and a subset of the host's by
+        # construction, so the solve skips edge_subgraph's re-validation
+        return spectrum(Graph(n, tuple(tuple(sorted(a)) for a in adj))).gap
 
     g_capped = _capped_girth(adj, n, girth_target)
 

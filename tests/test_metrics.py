@@ -26,8 +26,8 @@ from expanderlab.metrics import (
     measure,
     report_to_json_dict,
     spectrum,
+    _extreme_iterative,
     _extremes_dense,
-    _extremes_iterative,
 )
 from expanderlab.rng import Stream
 from oracles import (
@@ -220,7 +220,7 @@ class TestSpectrum:
         for seed, extra in ((0, 40), (1, 80)):
             g = random_connected_graph(60, 800 + seed, extra_edges=extra)
             lam2_d, lamn_d = _extremes_dense(g)
-            lam2_i, lamn_i = _extremes_iterative(g)
+            lam2_i, lamn_i = _extreme_iterative(g, "LA"), _extreme_iterative(g, "SA")
             assert abs(lam2_d - lam2_i) < 1e-8
             assert abs(lamn_d - lamn_i) < 1e-8
 
@@ -238,6 +238,31 @@ s = metrics.spectrum(g)
 print(s.lambda2.hex(), s.rho_star.hex())
 """
 
+# gap alone, or rho_star read before gap; the printed order is fixed
+_READ_ORDER_HEX = """
+from expanderlab import builders, metrics
+g = builders.build_family(builders.parse_family_spec({spec!r})).graph
+s = metrics.spectrum(g)
+rho = s.rho_star.hex() if {rho_first!r} else None
+print(s.gap.hex(), rho)
+"""
+
+
+def _run_python(code):
+    env = dict(os.environ)
+    src = str(Path(expanderlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def _count_eigsh():
+    """Patch scipy's eigsh with a spy that counts calls and still solves."""
+    from scipy.sparse import linalg
+
+    return mock.patch.object(linalg, "eigsh", side_effect=linalg.eigsh)
+
 
 class TestLanczosPath:
     """Above n = 512 `spectrum` runs seeded Lanczos: reproducible and as exact as dense."""
@@ -247,19 +272,61 @@ class TestLanczosPath:
         assert g.n > metrics._DENSE_EIGEN_LIMIT
         first, second = spectrum(g), spectrum(g)
         assert first == second
-        lam2, lam_n = _extremes_iterative(g)
+        lam2, lam_n = _extreme_iterative(g, "LA"), _extreme_iterative(g, "SA")
         assert (first.lambda2, first.rho_star) == (lam2, max(abs(lam2), abs(lam_n)))
-        env = dict(os.environ)
-        src = str(Path(expanderlab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        outputs = [
-            subprocess.run(
-                [sys.executable, "-c", _SPECTRUM_HEX.format(spec=RR1024)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            for _ in range(2)
-        ]
+        outputs = [_run_python(_SPECTRUM_HEX.format(spec=RR1024)) for _ in range(2)]
         assert outputs[0] == outputs[1] == f"{first.lambda2.hex()} {first.rho_star.hex()}\n"
+
+    def test_gap_alone_runs_one_solve(self):
+        g = _build(RR1024)
+        with _count_eigsh() as spy:
+            gap = spectrum(g).gap
+        assert spy.call_count == 1
+        assert spy.call_args.kwargs["which"] == "LA"
+        assert gap == 1.0 - _extreme_iterative(g, "LA")
+
+    def test_rho_star_solved_once_on_first_read(self):
+        g = _build(RR1024)
+        with _count_eigsh() as spy:
+            s = spectrum(g)
+            assert spy.call_count == 1
+            first = s.rho_star
+            assert [c.kwargs["which"] for c in spy.call_args_list] == ["LA", "SA"]
+            assert s.rho_star == first
+            assert spy.call_count == 2
+
+    def test_lazy_solve_refuses_on_no_convergence(self):
+        from scipy.sparse import linalg
+
+        eigsh = linalg.eigsh
+
+        def failing_sa(*args, **kwargs):
+            if kwargs["which"] == "SA":
+                raise linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+            return eigsh(*args, **kwargs)
+
+        g = _build(RR1024)
+        with mock.patch.object(linalg, "eigsh", side_effect=failing_sa):
+            s = spectrum(g)
+            assert 0 < s.gap < 1
+            with pytest.raises(ComputationRefused, match="failed to converge"):
+                s.rho_star
+
+    def test_ends_bit_identical_whatever_is_read_first(self):
+        g = _build(RR1024)
+        gap_only = spectrum(g).gap.hex()
+        rho_first = spectrum(g)
+        rho = rho_first.rho_star.hex()
+        assert rho_first.gap.hex() == gap_only
+        gap_then_rho = spectrum(g)
+        assert gap_then_rho.gap.hex() == gap_only
+        assert gap_then_rho.rho_star.hex() == rho
+        assert _run_python(_READ_ORDER_HEX.format(spec=RR1024, rho_first=False)) == (
+            f"{gap_only} None\n"
+        )
+        assert _run_python(_READ_ORDER_HEX.format(spec=RR1024, rho_first=True)) == (
+            f"{gap_only} {rho}\n"
+        )
 
     def test_lanczos_matches_dense_within_1e12(self):
         hosts = [
@@ -277,7 +344,8 @@ class TestLanczosPath:
             graphs.append(edge_subgraph(host, res.kept))
         for g in graphs:
             assert metrics._DENSE_EIGEN_LIMIT < g.n <= 1320
-            dense, lanczos = _extremes_dense(g), _extremes_iterative(g)
+            dense = _extremes_dense(g)
+            lanczos = _extreme_iterative(g, "LA"), _extreme_iterative(g, "SA")
             assert abs(dense[0] - lanczos[0]) < 1e-12
             assert abs(dense[1] - lanczos[1]) < 1e-12
 

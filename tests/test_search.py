@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import builders, graphcore, metrics
+from expanderlab import builders, graphcore, metrics, search
 from expanderlab.builders import (
     graph_power,
     named_graph,
@@ -260,6 +260,18 @@ class TestAgainstReferences:
         assert _anneal(host, target, budget, seed, init) == anneal_reference(
             host, target, budget, seed, init
         )
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
+    def test_anneal_solves_on_validated_subgraphs(self, host_sub, target, budget, seed):
+        # the anneal builds its Graph from its own adjacency; each one must be
+        # the graph edge_subgraph would build from the same edges. Disconnected
+        # states skip the solve (spectrum would raise on them).
+        host, sub = host_sub
+        with mock.patch.object(search, "spectrum", side_effect=spectrum) as spy:
+            _anneal(host, target, budget, seed, frozenset(sub))
+        for (g,), _ in spy.call_args_list:
+            assert g == edge_subgraph(host, g.edge_set())
 
 
 class TestSearch:
