@@ -90,6 +90,16 @@ class TestMeasure:
         assert run(["measure", bad]) == cli.EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edges",
+        ["1 0\n", "1 1\n", "0 1\n0 1\n", "0 3\n"],
+        ids=["reversed", "self-loop", "duplicate", "out-of-range"],
+    )
+    def test_bad_edge_line_exit2(self, tmp_path, edges):
+        bad = tmp_path / "bad.el"
+        bad.write_text(f"3 {edges.count(chr(10))}\n{edges}")
+        assert run(["measure", bad]) == cli.EXIT_INPUT
+
 
 class TestPercolateAndSweep:
     def test_percolate_p1(self, tmp_path):
