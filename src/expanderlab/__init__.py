@@ -8,7 +8,6 @@ from .graphcore import (  # noqa: F401
     UNREACHABLE,
     bfs_distances,
     edge_subgraph,
-    from_edge_list,
     from_edges,
     induced_ball,
     induced_subgraph,

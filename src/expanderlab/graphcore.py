@@ -2,8 +2,10 @@
 
 Vertices are dense integers 0..n-1. Producers that carry richer labels (group
 elements, product coordinates) keep them in side tables; the graph itself is
-just sorted adjacency tuples. Edges are always normalized pairs (u, v) with
-u < v; edge subsets elsewhere in the package are plain sets of such pairs.
+just sorted adjacency tuples. `from_edges` is the one constructor that
+validates pairs (in either order), and `edge_subgraph` the one check that a
+pair set lies in a host. Pairs handed out are normalized (u, v) with u < v;
+the search works on sorted adjacency lists, the lists a `Graph` freezes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ REACH_BLOCK = 4096
 class Graph:
     """Simple undirected graph with strictly sorted adjacency tuples.
 
-    Instances are immutable and hashable; construct via `from_edge_list` /
-    `from_edges`, which validate the invariants (symmetry, no loops, no
-    duplicate neighbors).
+    Instances are immutable and hashable; construct via `from_edges`, which
+    validates the invariants (symmetry, no loops, no duplicate neighbors).
+    Code that already holds sorted, symmetric lists (trimming, the anneal)
+    freezes them directly with `Graph(n, tuple(map(tuple, adj)))`.
     """
 
     n: int
@@ -73,30 +76,27 @@ def check_vertex_count(n: int) -> None:
         raise ComputationRefused(f"{n} vertices exceed the cap of {VERTEX_CAP}")
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from n and (u, v) pairs with u < v, rejecting any invariant violation."""
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from n and (u, v) pairs in either order, rejecting any invariant violation."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     check_vertex_count(n)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    nbrs: list = [[] for _ in range(n)]
     for e in edges:
         u, v = e
         if u == v:
             raise ValueError(f"self-loop rejected: {e}")
-        if not (0 <= u < v < n):
-            raise ValueError(f"edge out of range or not (u < v): {e} with n={n}")
-        if e in seen:
-            raise ValueError(f"duplicate edge rejected: {e}")
-        seen.add(e)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge out of range: {e} with n={n}")
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in nbrs))
-
-
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Convenience constructor: normalizes pair order, then validates as from_edge_list."""
-    return from_edge_list(n, sorted((u, v) if u < v else (v, u) for u, v in edges))
+    for u, a in enumerate(nbrs):
+        a.sort()
+        if len(set(a)) < len(a):
+            v = next(x for x, y in zip(a, a[1:]) if x == y)
+            raise ValueError(f"duplicate edge rejected: {(min(u, v), max(u, v))}")
+        nbrs[u] = tuple(a)  # frees each list as it goes
+    return Graph(n=n, adj=tuple(nbrs))
 
 
 def bfs_distances(
@@ -311,12 +311,15 @@ def induced_ball(g: Graph, center: int, r: int) -> tuple[Graph, dict[int, int]]:
 
 
 def edge_subgraph(g: Graph, keep: Iterable[tuple[int, int]]) -> Graph:
-    """Spanning subgraph on exactly the edges in `keep` (vertex set untouched)."""
-    kept = sorted({(u, v) if u < v else (v, u) for u, v in keep})
+    """Spanning subgraph on exactly the edges in `keep`, in either order (vertex set untouched).
+
+    This is the one check that a set of pairs is a subset of a host's edges.
+    """
+    kept = {(u, v) if u < v else (v, u) for u, v in keep}
     for e in kept:
-        if not g.has_edge(*e):
+        if not (0 <= e[0] and e[1] < g.n and g.has_edge(*e)):
             raise ValueError(f"edge {e} not present in host graph")
-    return from_edge_list(g.n, kept)
+    return from_edges(g.n, kept)
 
 
 # Edge-list text format: line 1 is "n m", then m lines "u v" with u < v,
@@ -331,7 +334,7 @@ def write_edge_list_text(g: Graph) -> str:
 
 
 def read_edge_list_text(text: str) -> Graph:
-    """Parse the edge-list format; errors carry 1-based line numbers."""
+    """Parse the edge-list format, which asks u < v per line; errors carry 1-based line numbers."""
     n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -347,6 +350,8 @@ def read_edge_list_text(text: str) -> Graph:
             raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
         if n is None:
             n, m = a, b
+        elif a > b:
+            raise ValueError(f"line {lineno}: expected u < v, got {raw!r}")
         else:
             edges.append((a, b))
     if n is None:
@@ -354,7 +359,7 @@ def read_edge_list_text(text: str) -> Graph:
     if len(edges) != m:
         raise ValueError(f"header declares m={m} edges but file has {len(edges)}")
     try:
-        return from_edge_list(n, edges)
+        return from_edges(n, edges)
     except ValueError as exc:
         raise ValueError(f"invalid edge data: {exc}") from None
 

@@ -10,14 +10,17 @@ shipped and raced by the probe:
                     floor, then trim residual short cycles
   anneal            simulated annealing over edge subsets
 
-Every returned candidate is re-measured from scratch (girth, gap,
-connectivity) — nothing is trusted from the search loop's bookkeeping.
+All three mutate one working form: sorted, symmetric adjacency lists, the
+lists a `Graph` freezes. Pair sets from outside are validated once, through
+`edge_subgraph`. Every returned candidate is re-measured from scratch (girth,
+gap, connectivity) — nothing is trusted from the search loop's bookkeeping.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -35,14 +38,12 @@ from .graphcore import (
     UNREACHABLE,
     Graph,
     edge_subgraph,
-    from_edges,
     is_connected,
     pair_distance,
     shortest_cycle_scan,
 )
 from .metrics import (
     DEFAULT_EXACT_MAX,
-    UNBOUNDED,
     SpectrumResult,
     cheeger_exact,
     diameter,
@@ -78,7 +79,8 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
     Per step, one edge of a currently shortest cycle is removed — the one
     maximizing the endpoint-degree sum, ties to the lexicographically
     smallest pair. Cycle edges never disconnect, so connectivity of the
-    input is preserved; the vertex set always is.
+    input is preserved; the vertex set always is. Removals keep the working
+    lists sorted, so the result is frozen from them without re-validation.
     """
     if target < 3:
         raise ValueError(f"girth target must be >= 3, got {target}")
@@ -103,19 +105,10 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
         u, v = best_edge
         adj[u].remove(v)
         adj[v].remove(u)
-    return from_edges(n, ((u, v) for u in range(n) for v in adj[u] if u < v))
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 # --- repair and augmentation ---------------------------------------------
-
-
-def _normalize_subset(host: Graph, sub: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    edges = {(u, v) if u < v else (v, u) for u, v in sub}
-    host_edges = host.edge_set()
-    bad = edges - host_edges
-    if bad:
-        raise ValueError(f"edges not in host: {sorted(bad)[:3]}...")
-    return edges
 
 
 def reconnect_repair(host: Graph, sub: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -126,7 +119,7 @@ def reconnect_repair(host: Graph, sub: Iterable[tuple[int, int]]) -> frozenset[t
     """
     if not is_connected(host):
         raise ValueError("reconnect_repair requires a connected host")
-    edges = _normalize_subset(host, sub)
+    edges = set(edge_subgraph(host, sub).edges())
     ds = DisjointSet(host.n)
     for u, v in edges:
         ds.union(u, v)
@@ -139,9 +132,9 @@ def reconnect_repair(host: Graph, sub: Iterable[tuple[int, int]]) -> frozenset[t
     return frozenset(edges)
 
 
-def _far_candidates(host: Graph, kept, adj, need: int) -> list[tuple]:
-    """(-dist_sub(u, v), u, v) for the host edges u < v not kept and at least
-    `need` apart in `adj`, with -inf for the pairs it cannot connect.
+def _far_candidates(host: Graph, sub: Graph, need: int) -> list[tuple]:
+    """(-dist_sub(u, v), u, v) for the host edges u < v not in `sub` and at
+    least `need` apart in it, with -inf for the pairs it cannot connect.
 
     Runs `graphcore.reach_levels` over blocks of sources u, with each v's
     candidates as a bitmask of u's: the bits set by level need - 1 are too
@@ -149,7 +142,7 @@ def _far_candidates(host: Graph, kept, adj, need: int) -> list[tuple]:
     """
     cand: dict[int, int] = {}
     for u, v in host.edges():
-        if (u, v) not in kept:
+        if not sub.has_edge(u, v):
             cand[v] = cand.get(v, 0) | 1 << u
     out = []
 
@@ -163,7 +156,7 @@ def _far_candidates(host: Graph, kept, adj, need: int) -> list[tuple]:
         hi = min(lo + graphcore.REACH_BLOCK, host.n)
         block = (1 << (hi - lo)) - 1
         pending = {v: c >> lo & block for v, c in cand.items() if c >> lo & block}
-        for d, reach in enumerate(graphcore.reach_levels(adj, lo, hi)):
+        for d, reach in enumerate(graphcore.reach_levels(sub.adj, lo, hi)):
             if not pending:
                 break
             if d < need - 1:
@@ -205,14 +198,10 @@ def augment_edges(
     """
     if girth_floor < 3:
         raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
-    kept = _normalize_subset(host, sub)
-    n = host.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in kept:
-        adj[u].append(v)
-        adj[v].append(u)
+    start = edge_subgraph(host, sub)
+    adj = [list(a) for a in start.adj]
     need = girth_floor - 1
-    heap = _far_candidates(host, kept, adj, need)
+    heap = _far_candidates(host, start, need)
     heapq.heapify(heap)
     adds = 0
     while heap and adds < budget:
@@ -224,11 +213,10 @@ def augment_edges(
             if cur >= need:
                 heapq.heappush(heap, (-cur, u, v))
             continue  # else: can never qualify again — drop
-        kept.add((u, v))
-        adj[u].append(v)
-        adj[v].append(u)
+        insort(adj[u], v)
+        insort(adj[v], u)
         adds += 1
-    return frozenset(kept)
+    return Graph(host.n, tuple(map(tuple, adj))).edge_set()
 
 
 # --- search --------------------------------------------------------------
@@ -278,32 +266,28 @@ def _anneal(
     n = host.n
     host_edges = list(host.edges())
     stream = Stream(split(seed, _PHASE_ANNEAL))
-    kept = set(init_kept)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    best = edge_subgraph(host, init_kept)
+    adj = [list(a) for a in best.adj]
     ds = DisjointSet(n)
-    for u, v in kept:
-        adj[u].add(v)
-        adj[v].add(u)
+    for u, v in best.edges():
         ds.union(u, v)
     comp = ds.count
-    deg = [len(a) for a in adj]
-    sum_deg = sum(deg)
-    sum_sq = sum(d * d for d in deg)
+    sum_deg = sum(map(len, adj))
+    sum_sq = sum(len(a) ** 2 for a in adj)
+
+    def state() -> Graph:
+        return Graph(n, tuple(map(tuple, adj)))
 
     def degvar() -> float:
         mean = sum_deg / n
         return sum_sq / n - mean * mean
 
-    def exact_gap(components: int) -> float:
-        if components > 1 or n < 2:
-            return 0.0
-        # adj is symmetric, loop-free and a subset of the host's by
-        # construction, so the solve skips edge_subgraph's re-validation
-        return spectrum(Graph(n, tuple(tuple(sorted(a)) for a in adj))).gap
+    def exact_gap(g: Graph, components: int) -> float:
+        return 0.0 if components > 1 or n < 2 else spectrum(g).gap
 
     g_capped = _capped_girth(adj, n, girth_target)
 
-    ref_gap = exact_gap(comp)
+    ref_gap = exact_gap(best, comp)
     ref_degvar = degvar()
 
     def objective(gap_est: float, capped: int, components: int) -> float:
@@ -314,12 +298,11 @@ def _anneal(
         )
 
     cur_obj = objective(ref_gap, g_capped, comp)
-    best_kept = frozenset(kept)
     best_exact_obj = cur_obj
     best_est_obj = cur_obj
 
     if budget <= 0:
-        return best_kept
+        return best.edge_set()
 
     alpha = _ANNEAL_T_END_RATIO ** (1.0 / budget)
     temp = _ANNEAL_T0
@@ -327,24 +310,24 @@ def _anneal(
     for _ in range(budget):
         temp *= alpha
         u, v = host_edges[stream.randrange(len(host_edges))]
-        removing = (u, v) in kept
+        removing = v in adj[u]
         if removing:
-            adj[u].discard(v)
-            adj[v].discard(u)
+            adj[u].remove(v)
+            adj[v].remove(u)
             cand_comp = comp + (pair_distance(adj, u, v) == UNREACHABLE)
             if g_capped >= girth_target:
                 cand_capped = g_capped  # removal never shrinks girth
             else:
                 cand_capped = _capped_girth(adj, n, girth_target)
-            adj[u].add(v)
-            adj[v].add(u)
-            d_sumdeg, d_sumsq = -2, 2 - 2 * (deg[u] + deg[v])
+            insort(adj[u], v)
+            insort(adj[v], u)
+            d_sumdeg, d_sumsq = -2, 2 - 2 * (len(adj[u]) + len(adj[v]))
         else:
             d = pair_distance(adj, u, v, girth_target - 2)
             cand_capped = min(g_capped, d + 1) if d >= 0 else g_capped
             merges = comp > 1 and d < 0 and pair_distance(adj, u, v) == UNREACHABLE
             cand_comp = comp - merges
-            d_sumdeg, d_sumsq = 2, 2 + 2 * (deg[u] + deg[v])
+            d_sumdeg, d_sumsq = 2, 2 + 2 * (len(adj[u]) + len(adj[v]))
         cand_sumdeg = sum_deg + d_sumdeg
         cand_sumsq = sum_sq + d_sumsq
         cand_degvar = cand_sumsq / n - (cand_sumdeg / n) ** 2
@@ -353,32 +336,27 @@ def _anneal(
         delta = cand_obj - cur_obj
         if delta >= 0 or stream.uniform() < math.exp(delta / temp):
             if removing:
-                kept.discard((u, v))
-                adj[u].discard(v)
-                adj[v].discard(u)
-                deg[u] -= 1
-                deg[v] -= 1
+                adj[u].remove(v)
+                adj[v].remove(u)
             else:
-                kept.add((u, v))
-                adj[u].add(v)
-                adj[v].add(u)
-                deg[u] += 1
-                deg[v] += 1
+                insort(adj[u], v)
+                insort(adj[v], u)
             sum_deg, sum_sq = cand_sumdeg, cand_sumsq
             g_capped, comp = cand_capped, cand_comp
             cur_obj = cand_obj
             accepted += 1
             if accepted % _ANNEAL_RECOMPUTE_EVERY == 0:
-                ref_gap = exact_gap(comp)
+                ref_gap = exact_gap(state(), comp)
                 ref_degvar = degvar()
                 cur_obj = objective(ref_gap, g_capped, comp)
             if cur_obj > best_est_obj:
                 best_est_obj = cur_obj
-                exact_obj = objective(exact_gap(comp), g_capped, comp)
+                snap = state()
+                exact_obj = objective(exact_gap(snap, comp), g_capped, comp)
                 if exact_obj > best_exact_obj:
                     best_exact_obj = exact_obj
-                    best_kept = frozenset(kept)
-    return best_kept
+                    best = snap
+    return best.edge_set()
 
 
 def _check_ratio(ratio: float) -> None:
@@ -494,9 +472,7 @@ class FamilySummary:
 
 
 def _meets(result: SearchResult, target: int) -> bool:
-    return result.connected and (
-        result.girth_achieved == UNBOUNDED or result.girth_achieved >= target
-    )
+    return result.connected and result.girth_achieved >= target
 
 
 def conjecture_probe(
@@ -505,7 +481,6 @@ def conjecture_probe(
     strategies: Sequence[str] = STRATEGIES,
     budget: int = 500,
     seed: int = 0,
-    exact_max: int = DEFAULT_EXACT_MAX,
 ) -> tuple[list[ProbeRecord], list[FamilySummary]]:
     """Race the strategies over instances x ratios and keep per-cell winners.
 
@@ -549,7 +524,7 @@ def conjecture_probe(
         if not is_connected(g):
             raise ValueError(f"family instance {key!r} is not connected")
         spec_res = spectrum(g)
-        h = cheeger_exact(g, exact_max) if 3 <= g.n <= exact_max else None
+        h = cheeger_exact(g) if 3 <= g.n <= DEFAULT_EXACT_MAX else None
         hosts.append((spec, key, g, spec_res, diameter(g), h))
 
     records: list[ProbeRecord] = []
@@ -574,19 +549,7 @@ def conjecture_probe(
             if meeting:
                 strat, best = min(meeting, key=lambda sr: (-sr[1].gap, sr[0]))
             else:
-                strat, best = min(
-                    runs,
-                    key=lambda sr: (
-                        -(sr[1].girth_achieved if sr[1].girth_achieved != UNBOUNDED else math.inf),
-                        -sr[1].gap,
-                        sr[0],
-                    ),
-                )
-            ratio_achieved = (
-                math.inf
-                if best.girth_achieved == UNBOUNDED
-                else best.girth_achieved / d_host
-            )
+                strat, best = min(runs, key=lambda sr: (-sr[1].girth_achieved, -sr[1].gap, sr[0]))
             records.append(
                 ProbeRecord(
                     family=base_family_id(spec),
@@ -603,7 +566,7 @@ def conjecture_probe(
                     best_girth=best.girth_achieved,
                     best_gap=best.gap,
                     best_h_exact=best.h_exact,
-                    ratio_achieved=ratio_achieved,
+                    ratio_achieved=best.girth_achieved / d_host,
                     success=_meets(best, target),
                     degenerate_diameter=d_host <= 1,
                     seed=best.seed,
@@ -621,13 +584,7 @@ def conjecture_probe(
             cell = [r for r in recs if r.c == c and not r.degenerate_diameter]
             succ = [r for r in cell if r.success]
             by_size = sorted(cell, key=lambda r: r.n)
-            grew: Optional[bool] = None
-            if len(by_size) >= 2:
-                first = by_size[0].best_girth
-                last = by_size[-1].best_girth
-                grew = (math.inf if last == UNBOUNDED else last) > (
-                    math.inf if first == UNBOUNDED else first
-                )
+            grew = by_size[-1].best_girth > by_size[0].best_girth if len(by_size) >= 2 else None
             per_ratio.append(
                 RatioSummary(
                     c=c,

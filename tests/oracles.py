@@ -37,7 +37,6 @@ from expanderlab.search import (
     _ANNEAL_T_END_RATIO,
     _PHASE_ANNEAL,
     _capped_girth,
-    _normalize_subset,
 )
 
 
@@ -353,7 +352,7 @@ def augment_edges_reference(
     """`search.augment_edges` with one target-stopped BFS per distance."""
     if girth_floor < 3:
         raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
-    kept = _normalize_subset(host, sub)
+    kept = set(edge_subgraph(host, sub).edges())
     n = host.n
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in kept:

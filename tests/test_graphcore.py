@@ -12,7 +12,6 @@ from expanderlab.graphcore import (
     UNREACHABLE,
     bfs_distances,
     edge_subgraph,
-    from_edge_list,
     from_edges,
     graph_fingerprint,
     induced_ball,
@@ -35,55 +34,62 @@ def complete(n):
 
 
 class TestFromEdgeList:
+    """`from_edges`, the one constructor that validates an edge list."""
+
     def test_empty(self):
-        g = from_edge_list(3, ())
+        g = from_edges(3, ())
         assert g.n == 3 and g.m == 0
 
     def test_c4(self):
-        g = from_edge_list(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
+        g = from_edges(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
         assert g.m == 4
         assert all(len(g.adj[v]) == 2 for v in range(4))
+        # pairs are accepted in either order
+        assert from_edges(4, ((1, 0), (3, 0), (2, 1), (2, 3))) == g
+        assert from_edges(4, ((3, 2), (1, 2), (0, 1), (3, 0))) == g
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            from_edge_list(2, ((0, 0),))
+            from_edges(2, ((0, 0),))
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            from_edge_list(3, ((0, 1), (0, 1)))
+            from_edges(3, ((0, 1), (0, 1)))
+        # the same edge written in both orders
+        with pytest.raises(ValueError, match=r"duplicate edge rejected: \(1, 2\)"):
+            from_edges(3, ((0, 1), (1, 2), (2, 1)))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            from_edge_list(3, ((0, 3),))
-        with pytest.raises(ValueError, match="out of range"):
-            from_edge_list(3, ((1, 0),))  # not u < v
+        for edge in ((0, 3), (-1, 0), (0, -1), (3, 0), (1, 7)):
+            with pytest.raises(ValueError, match="out of range"):
+                from_edges(3, (edge,))
 
     def test_vertex_cap_refused_before_allocation(self):
         # a list of VERTEX_CAP + 1 adjacency lists is never built
         with pytest.raises(ComputationRefused, match="cap"):
-            from_edge_list(graphcore.VERTEX_CAP + 1, ())
+            from_edges(graphcore.VERTEX_CAP + 1, ())
         with pytest.raises(ComputationRefused, match="cap"):
             read_edge_list_text("1000000000 0\n")
 
 
 class TestRoundTrip:
-    """`Graph.edges()` yields the sorted pairs `from_edge_list` rebuilds the graph from."""
+    """`Graph.edges()` yields the sorted pairs `from_edges` rebuilds the graph from."""
 
     def test_c4(self):
         g = cycle(4)
         edges = tuple(g.edges())
         assert edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-        assert from_edge_list(g.n, edges) == g
+        assert from_edges(g.n, edges) == g
 
     def test_isolated(self):
         g = from_edges(5, [])
         edges = tuple(g.edges())
-        assert edges == () and from_edge_list(g.n, edges) == g
+        assert edges == () and from_edges(g.n, edges) == g
 
     def test_random_graphs(self):
         for seed in range(25):
             g = random_connected_graph(12, seed, extra_edges=seed % 7)
-            assert from_edge_list(g.n, g.edges()) == g
+            assert from_edges(g.n, g.edges()) == g
 
 
 class TestBfs:
@@ -360,6 +366,10 @@ class TestEdgeSubgraph:
     def test_foreign_edge_rejected(self):
         with pytest.raises(ValueError, match="not present"):
             edge_subgraph(cycle(5), [(0, 2)])
+        # vertices outside 0..n-1 are checked before has_edge indexes adj
+        for edge in ((7, 8), (-1, 0)):
+            with pytest.raises(ValueError, match="not present"):
+                edge_subgraph(cycle(5), [edge])
 
     def test_vertex_count_always_preserved(self):
         from expanderlab.rng import Stream
@@ -390,6 +400,11 @@ class TestTextFormat:
     def test_wrong_arity_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
             read_edge_list_text("3 1\n0 1 2\n")
+
+    def test_reversed_line_rejected(self):
+        # the format asks for u < v; `from_edges` itself takes either order
+        with pytest.raises(ValueError, match="line 3: expected u < v"):
+            read_edge_list_text("3 2\n0 1\n2 1\n")
 
     def test_header_count_mismatch(self):
         with pytest.raises(ValueError, match="declares m=2"):

@@ -1,4 +1,5 @@
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -108,6 +109,22 @@ class TestTrim:
             gv = girth(out)
             assert gv == UNBOUNDED or gv >= t
 
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 18),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([0.1, 0.25, 0.5]),
+        st.integers(3, 12),
+    )
+    def test_result_is_the_validated_subgraph(self, n, seed, p, t):
+        # trim freezes its working lists without from_edges; they must be the
+        # graph edge_subgraph builds from the same edges, connected host or not
+        rng = random.Random(seed)
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p])
+        out = trim_to_girth(g, t)
+        assert out == edge_subgraph(g, out.edge_set())
+        assert girth(out) >= t
+
 
 class TestReconnectRepair:
     def test_connected_unchanged(self):
@@ -143,6 +160,15 @@ class TestReconnectRepair:
             repaired = reconnect_repair(host, sub)
             after = girth(edge_subgraph(host, repaired))
             assert before == after
+
+
+@pytest.mark.parametrize("edge", [(7, 8), (-1, 0)])
+def test_out_of_range_pair_is_a_value_error(edge):
+    # both validate through edge_subgraph; a vertex outside 0..n-1 is not an IndexError
+    with pytest.raises(ValueError, match="not present"):
+        reconnect_repair(cycle(5), [edge])
+    with pytest.raises(ValueError, match="not present"):
+        augment_edges(cycle(5), [edge], 3, 1)
 
 
 class TestAugment:
@@ -250,7 +276,9 @@ class TestAgainstReferences:
             if (u, v) not in kept and (d < 0 or d >= need):
                 expected.append((-math.inf if d < 0 else -d, u, v))
         with mock.patch.object(graphcore, "REACH_BLOCK", block):
-            assert sorted(_far_candidates(host, kept, adj, need)) == sorted(expected)
+            assert sorted(_far_candidates(host, edge_subgraph(host, kept), need)) == sorted(
+                expected
+            )
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
