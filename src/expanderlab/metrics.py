@@ -27,7 +27,6 @@ from statistics import median
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import graphcore
 from .errors import ComputationRefused
@@ -199,6 +198,9 @@ def _extreme_iterative(g: Graph, which: str) -> float:
     constant seed 0, not a shared generator, so neither end depends on
     whether or when the other was solved.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     n = g.n
     rows, cols = _edge_index(g)
     a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
@@ -216,8 +218,6 @@ def _extreme_iterative(g: Graph, which: str) -> float:
     matvec = mv_deflated if which == "LA" else mv
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
         return float(
             eigsh(
                 LinearOperator((n, n), matvec=matvec, dtype=float),
@@ -225,7 +225,7 @@ def _extreme_iterative(g: Graph, which: str) -> float:
                 maxiter=_EIGEN_MAX_ITER, return_eigenvectors=False, rng=0,
             )[0]
         )
-    except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
+    except ArpackNoConvergence as exc:  # pragma: no cover
         raise ComputationRefused(f"eigensolver failed to converge: {exc}") from None
 
 

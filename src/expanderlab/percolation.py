@@ -4,6 +4,11 @@ One uniform is drawn per edge (in canonical edge order) from the seeded
 stream; an edge is retained iff its uniform is below p. The draws do not
 depend on p, so retained(p1) is a subset of retained(p2) whenever p1 <= p2 —
 the monotone coupling the sweep relies on. Marginals are exactly Bernoulli(p).
+
+The sweep is Newman–Ziff (2000): per replicate it draws the uniforms once,
+adds edges to one union-find in uniform order and reads the largest component
+at each grid point, O(seeds · m log m) whatever the grid length. Rows come in
+the given grid order, repeats included, equal to one `percolate` per (p, seed).
 """
 
 from __future__ import annotations
@@ -61,12 +66,21 @@ class ComponentSummary:
     giant_fraction: float
 
 
-def percolate(g: Graph, p: float, seed: int) -> PercolationSample:
-    """Retain each edge independently with probability p (threshold coupling)."""
+def _check_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"retention probability must be in [0,1], got {p}")
+
+
+def _edge_uniforms(g: Graph, seed: int) -> list[float]:
+    """The coupling's uniforms, one per edge in canonical edge order."""
     stream = Stream(split(seed, _PHASE_EDGES))
-    retained = frozenset(e for e in g.edges() if stream.uniform() < p)
+    return [stream.uniform() for _ in range(g.m)]
+
+
+def percolate(g: Graph, p: float, seed: int) -> PercolationSample:
+    """Retain each edge independently with probability p (threshold coupling)."""
+    _check_p(p)
+    retained = frozenset(e for e, x in zip(g.edges(), _edge_uniforms(g, seed)) if x < p)
     return PercolationSample(p=p, seed=seed, retained=retained, host_ref=graph_fingerprint(g))
 
 
@@ -98,8 +112,7 @@ def condition_check(g: Graph, p: float) -> ConditionCheck:
     the maximum degree; the check only reports the value, it claims nothing
     about giant components.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"retention probability must be in [0,1], got {p}")
+    _check_p(p)
     value = spectrum(g).rho_star * g.max_degree * p
     return ConditionCheck(value=value, satisfied=value < 1.0)
 
@@ -117,34 +130,40 @@ class SweepRow:
 def percolation_sweep(
     g: Graph, grid, seeds_per_point: int, base_seed: int
 ) -> list[SweepRow]:
-    """Monte Carlo giant-component table over a p grid.
+    """Monte Carlo giant-component table over a p grid, one row per grid point.
 
-    seed_i = split(base_seed, i) per replicate; the std is the population
-    standard deviation over replicates.
+    Replicate i percolates with seed split(base_seed, _PHASE_SWEEP, i); the std
+    is the population standard deviation over replicates.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty p grid")
     if seeds_per_point < 1:
         raise ValueError(f"need >= 1 seed per grid point, got {seeds_per_point}")
-    rho_d = spectrum(g).rho_star * g.max_degree
-    rows = []
     for p in grid:
-        fractions = []
-        for i in range(seeds_per_point):
-            sample = percolate(g, p, split(base_seed, _PHASE_SWEEP, i))
-            fractions.append(component_summary(g, sample).giant_fraction)
-        mean = sum(fractions) / len(fractions)
-        var = sum((x - mean) ** 2 for x in fractions) / len(fractions)
+        _check_p(p)
+    rho_d = spectrum(g).rho_star * g.max_degree
+    edges = list(g.edges())
+    ascending = sorted(range(len(grid)), key=grid.__getitem__)
+    fractions = [[] for _ in grid]
+    for i in range(seeds_per_point):
+        uniforms = _edge_uniforms(g, split(base_seed, _PHASE_SWEEP, i))
+        order = sorted(range(len(edges)), key=uniforms.__getitem__)
+        ds, giant, k = DisjointSet(g.n), 1, 0
+        for j in ascending:
+            while k < len(order) and uniforms[order[k]] < grid[j]:
+                u, v = edges[order[k]]
+                if ds.union(u, v):
+                    giant = max(giant, ds.size[ds.find(u)])
+                k += 1
+            fractions[j].append(giant / g.n)
+    rows = []
+    for p, fs in zip(grid, fractions):
+        mean = sum(fs) / len(fs)
+        var = sum((x - mean) ** 2 for x in fs) / len(fs)
         value = rho_d * p
-        rows.append(
-            SweepRow(
-                p=p,
-                seed_count=seeds_per_point,
-                giant_mean=mean,
-                giant_std=math.sqrt(var),
-                condition_value=value,
-                condition_ok=value < 1.0,
-            )
-        )
+        rows.append(SweepRow(
+            p=p, seed_count=seeds_per_point, giant_mean=mean, giant_std=math.sqrt(var),
+            condition_value=value, condition_ok=value < 1.0,
+        ))
     return rows

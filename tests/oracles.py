@@ -11,8 +11,10 @@ pruned BFS, as trimming once did, and `walk_matrix_dense` fills the walk
 matrix in a Python loop, as the dense spectrum once did. The search
 references at the end are the plain versions of `augment_edges` and
 `_anneal`: one target-stopped BFS per distance and a fresh union-find per
-component count. `words_avoid_identity` checks the
-freeness of a generator pair in SL(2, Z) up to a word length.
+component count. `percolation_sweep_reference` is the sweep as it once
+was, one `percolate` and one `component_summary` per (p, seed).
+`words_avoid_identity` checks the freeness of a generator pair in SL(2, Z)
+up to a word length.
 """
 
 import heapq
@@ -26,7 +28,13 @@ import numpy as np
 
 from expanderlab.graphcore import UNREACHABLE, Graph, edge_subgraph, from_edges
 from expanderlab.metrics import spectrum
-from expanderlab.percolation import DisjointSet
+from expanderlab.percolation import (
+    _PHASE_SWEEP,
+    DisjointSet,
+    SweepRow,
+    component_summary,
+    percolate,
+)
 from expanderlab.rng import Stream, split
 from expanderlab.search import (
     _ANNEAL_PENALTY,
@@ -499,6 +507,41 @@ def anneal_reference(
                     best_exact_obj = exact_obj
                     best_kept = frozenset(kept)
     return best_kept
+
+
+# --- percolation references ----------------------------------------------
+
+
+def percolation_sweep_reference(
+    g: Graph, grid, seeds_per_point: int, base_seed: int
+) -> list[SweepRow]:
+    """The giant-component table with one fresh sample per (p, seed)."""
+    grid = list(grid)
+    if not grid:
+        raise ValueError("empty p grid")
+    if seeds_per_point < 1:
+        raise ValueError(f"need >= 1 seed per grid point, got {seeds_per_point}")
+    rho_d = spectrum(g).rho_star * g.max_degree
+    rows = []
+    for p in grid:
+        fractions = []
+        for i in range(seeds_per_point):
+            sample = percolate(g, p, split(base_seed, _PHASE_SWEEP, i))
+            fractions.append(component_summary(g, sample).giant_fraction)
+        mean = sum(fractions) / len(fractions)
+        var = sum((x - mean) ** 2 for x in fractions) / len(fractions)
+        value = rho_d * p
+        rows.append(
+            SweepRow(
+                p=p,
+                seed_count=seeds_per_point,
+                giant_mean=mean,
+                giant_std=math.sqrt(var),
+                condition_value=value,
+                condition_ok=value < 1.0,
+            )
+        )
+    return rows
 
 
 # --- group references ----------------------------------------------------

@@ -140,6 +140,16 @@ class TestPercolateAndSweep:
         assert float(first[2]) == 0.1  # 1/n
         assert float(last[2]) == 1.0
 
+    @pytest.mark.parametrize("grid", ["0.5,1.5", "nan", "0.5,-0.1"])
+    def test_sweep_bad_grid_exit2(self, tmp_path, capsys, grid):
+        path = tmp_path / "g.el"
+        save_graph(named_graph("cycle", 10), path)
+        out = tmp_path / "s.csv"
+        code = run(["sweep", path, "--grid", grid, "--seeds-per", 3, "-o", out])
+        assert code == cli.EXIT_INPUT
+        assert "retention probability must be in [0,1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrimSearch:
     def test_trim_noop_when_target_met(self, tmp_path):

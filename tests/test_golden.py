@@ -47,6 +47,11 @@ CASES = {
         ["gen", RR16, "-o", "rr16.el"],
         ["measure", "rr16.el", "--exact-max", "16", "-o", "rr16.json"],
     ],
+    "sweep-order": [
+        ["gen", RR128, "-o", "rr128.el"],
+        ["sweep", "rr128.el", "--grid", "0.8,0.2,0.5,0.2,1,0", "--seeds-per", "6",
+         "--seed", "3", "-o", "sweep.csv"],
+    ],
     "trim": [
         ["gen", "random-regular:n=64,d=4,seed=3", "-o", "rr64.el"],
         ["trim", "rr64.el", "--girth", "6", "-o", "trimmed.el"],
@@ -261,6 +266,12 @@ GOLDEN = {
             "9af95ee1b1f795d308e939ee345cb87f932da2924d7c4444ca0a553813e5a9d1",
         "sweep.csv":
             "ad8a88bda93f20417880066f79fe8d8281eedb9a72c17d865bd383bfecdff22b",
+    },
+    "sweep-order": {
+        "rr128.el":
+            "3048106aad14570ff718e055f25520c8cf7e6a5608c9b2429436c4b7187865ea",
+        "sweep.csv":
+            "ba35b5820df1f06c809eb77a2d50ca0692d5199ed64fd79161caf1c633f536f3",
     },
     "tower": {
         "tower.csv":

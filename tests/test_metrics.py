@@ -328,6 +328,19 @@ class TestLanczosPath:
             f"{gap_only} {rho}\n"
         )
 
+    def test_sparse_loaded_only_for_lanczos(self, tmp_path):
+        # the CLI and a dense-path measure (n <= 512) never import scipy.sparse
+        host, report = str(tmp_path / "g.el"), str(tmp_path / "g.json")
+        code = f"""
+import sys
+from expanderlab import cli
+print("scipy.sparse" in sys.modules)
+assert cli.main(["gen", "random-regular:n=512,d=4,seed=1", "-o", {host!r}]) == 0
+assert cli.main(["measure", {host!r}, "-o", {report!r}]) == 0
+print("scipy.sparse" in sys.modules)
+"""
+        assert _run_python(code) == "False\nFalse\n"
+
     def test_lanczos_matches_dense_within_1e12(self):
         hosts = [
             _build(RR1024),

@@ -1,17 +1,34 @@
 import math
+import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from expanderlab import percolation
 from expanderlab.builders import named_graph, random_regular
-from expanderlab.graphcore import edge_subgraph, graph_fingerprint
+from expanderlab.graphcore import (
+    edge_subgraph,
+    from_edges,
+    graph_fingerprint,
+    is_connected,
+)
+from expanderlab.metrics import spectrum
 from expanderlab.percolation import (
+    _PHASE_SWEEP,
     ComponentSummary,
     PercolationSample,
+    _edge_uniforms,
     component_summary,
     condition_check,
     percolate,
     percolation_sweep,
 )
+from expanderlab.rng import split
+from oracles import percolation_sweep_reference
 
 
 class TestPercolate:
@@ -111,9 +128,6 @@ class TestSweep:
         assert rows[0].giant_std == 0.0 and rows[1].giant_std == 0.0
 
     def test_single_point_matches_direct(self):
-        from expanderlab.rng import split
-        from expanderlab.percolation import _PHASE_SWEEP
-
         g = random_regular(16, 4, seed=4)
         rows = percolation_sweep(g, [0.5], seeds_per_point=1, base_seed=13)
         direct = component_summary(g, percolate(g, 0.5, split(13, _PHASE_SWEEP, 0)))
@@ -135,3 +149,62 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             percolation_sweep(named_graph("cycle", 5), [], 2, 0)
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.5], [math.nan], [0.5, -0.1]])
+    def test_whole_grid_checked_before_the_solve(self, grid):
+        def unreachable(g):
+            raise AssertionError("spectrum solved for a bad grid")
+
+        with mock.patch.object(percolation, "spectrum", unreachable):
+            with pytest.raises(ValueError, match=r"must be in \[0,1\]"):
+                percolation_sweep(named_graph("cycle", 5), grid, 2, 0)
+
+    def test_point_on_an_edge_uniform_leaves_that_edge_out(self):
+        # on the path 0-1-2, p = the larger uniform keeps only the other edge
+        g = from_edges(3, [(0, 1), (1, 2)])
+        p = max(_edge_uniforms(g, split(5, _PHASE_SWEEP, 0)))
+        (row,) = percolation_sweep(g, [p], 1, 5)
+        assert row.giant_mean == 2 / 3
+
+
+def _spectrum_or_stub(g):
+    # spectrum refuses disconnected hosts; the component pass does not need it
+    if g.n >= 2 and is_connected(g):
+        return spectrum(g)
+    return SimpleNamespace(rho_star=0.5)
+
+
+@st.composite
+def _sweep_case(draw):
+    """A host, maybe disconnected or edge-free, a grid, a seed count and a seed.
+
+    Grids come unsorted, with repeats, 0 and 1; at times one point is an edge's
+    uniform, where the strict `<` leaves that edge out.
+    """
+    n = draw(st.integers(1, 20))
+    rng = random.Random(draw(st.integers(0, 2**31 - 1)))
+    density = draw(st.sampled_from([0.0, 0.15, 0.4, 0.9]))
+    g = from_edges(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density])
+    seeds = draw(st.integers(1, 5))
+    base_seed = draw(st.integers(0, 2**64 - 1))
+    points = draw(
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6)
+    )
+    if g.m and draw(st.booleans()):
+        uniforms = _edge_uniforms(g, split(base_seed, _PHASE_SWEEP, draw(st.integers(0, seeds - 1))))
+        points.append(uniforms[draw(st.integers(0, g.m - 1))])
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return g, draw(st.permutations(points)), seeds, base_seed
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_sweep_case())
+def test_sweep_matches_reference(case):
+    # one pass per replicate gives the rows of one sample per (p, seed)
+    g, grid, seeds, base_seed = case
+    with mock.patch.object(percolation, "spectrum", _spectrum_or_stub), mock.patch.object(
+        oracles, "spectrum", _spectrum_or_stub
+    ):
+        assert percolation_sweep(g, grid, seeds, base_seed) == percolation_sweep_reference(
+            g, grid, seeds, base_seed
+        )
