@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy
-import scipy
 
 from . import __version__, builders, matgroups, metrics, percolation, search
 from .errors import ComputationRefused
@@ -92,7 +91,6 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),

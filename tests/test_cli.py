@@ -264,7 +264,6 @@ class TestProbeAndManifest:
         import platform
 
         import numpy
-        import scipy
 
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -274,7 +273,6 @@ class TestProbeAndManifest:
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
             "platform": platform.platform(),
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": None,

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import expanderlab
@@ -225,6 +226,31 @@ class TestSpectrum:
             assert abs(lamn_d - lamn_i) < 1e-8
 
 
+@st.composite
+def _connected_graphs(draw):
+    """Connected graphs on 3..100 vertices: random, regular (the uniform
+    vector is v1), bipartite (lambda_n = -1), complete, cycles and stars
+    (high multiplicities; a star's degrees take the reduceat matvec)."""
+    kind = draw(st.sampled_from(["random", "regular", "bipartite", "complete", "cycle", "star"]))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "regular":
+        d = draw(st.integers(3, 4))
+        g = builders.random_regular(draw(st.integers(5, 50)) * 2, d, seed)
+        assume(graphcore.is_connected(g))
+        return g
+    n = draw(st.integers(3, 100))
+    if kind == "random":
+        return random_connected_graph(n, seed, extra_edges=draw(st.integers(0, 3 * n)))
+    if kind == "bipartite":
+        tree = random_connected_graph(n, seed)
+        side = [dist % 2 for dist in graphcore.bfs_distances(tree.adj, 0)]
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+        chords = {(min(u, v), max(u, v)) for u, v in pairs if side[u] != side[v]}
+        return from_edges(n, tree.edge_set() | chords)
+    return {"complete": complete, "cycle": cycle, "star": lambda n: star(n - 1)}[kind](n)
+
+
 def _build(spec):
     return builders.build_family(builders.parse_family_spec(spec)).graph
 
@@ -257,15 +283,19 @@ def _run_python(code):
     ).stdout
 
 
-def _count_eigsh():
-    """Patch scipy's eigsh with a spy that counts calls and still solves."""
-    from scipy.sparse import linalg
+def _count_solves():
+    """Patch the Lanczos solver with a spy that counts calls and still solves."""
+    return mock.patch.object(
+        metrics, "_extreme_iterative", side_effect=metrics._extreme_iterative
+    )
 
-    return mock.patch.object(linalg, "eigsh", side_effect=linalg.eigsh)
+
+def _which(call):
+    return call.args[1]
 
 
 class TestLanczosPath:
-    """Above n = 512 `spectrum` runs seeded Lanczos: reproducible and as exact as dense."""
+    """Above n = 512 `spectrum` runs deterministic Lanczos: reproducible and as exact as dense."""
 
     def test_bit_identical_across_calls_and_processes(self):
         g = _build(RR1024)
@@ -279,36 +309,28 @@ class TestLanczosPath:
 
     def test_gap_alone_runs_one_solve(self):
         g = _build(RR1024)
-        with _count_eigsh() as spy:
+        with _count_solves() as spy:
             gap = spectrum(g).gap
         assert spy.call_count == 1
-        assert spy.call_args.kwargs["which"] == "LA"
+        assert _which(spy.call_args) == "LA"
         assert gap == 1.0 - _extreme_iterative(g, "LA")
 
     def test_rho_star_solved_once_on_first_read(self):
         g = _build(RR1024)
-        with _count_eigsh() as spy:
+        with _count_solves() as spy:
             s = spectrum(g)
             assert spy.call_count == 1
             first = s.rho_star
-            assert [c.kwargs["which"] for c in spy.call_args_list] == ["LA", "SA"]
+            assert [_which(c) for c in spy.call_args_list] == ["LA", "SA"]
             assert s.rho_star == first
             assert spy.call_count == 2
 
     def test_lazy_solve_refuses_on_no_convergence(self):
-        from scipy.sparse import linalg
-
-        eigsh = linalg.eigsh
-
-        def failing_sa(*args, **kwargs):
-            if kwargs["which"] == "SA":
-                raise linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-            return eigsh(*args, **kwargs)
-
         g = _build(RR1024)
-        with mock.patch.object(linalg, "eigsh", side_effect=failing_sa):
-            s = spectrum(g)
-            assert 0 < s.gap < 1
+        s = spectrum(g)
+        assert 0 < s.gap < 1
+        # one restart is too few for lambda_n here
+        with mock.patch.object(metrics, "_EIGEN_MAX_RESTARTS", 1):
             with pytest.raises(ComputationRefused, match="failed to converge"):
                 s.rho_star
 
@@ -328,18 +350,40 @@ class TestLanczosPath:
             f"{gap_only} {rho}\n"
         )
 
-    def test_sparse_loaded_only_for_lanczos(self, tmp_path):
-        # the CLI and a dense-path measure (n <= 512) never import scipy.sparse
+    def test_no_command_imports_scipy(self, tmp_path):
+        # a measure on the Lanczos path (n > 512) solves both ends without scipy
         host, report = str(tmp_path / "g.el"), str(tmp_path / "g.json")
         code = f"""
 import sys
 from expanderlab import cli
-print("scipy.sparse" in sys.modules)
-assert cli.main(["gen", "random-regular:n=512,d=4,seed=1", "-o", {host!r}]) == 0
+assert cli.main(["gen", {RR1024!r}, "-o", {host!r}]) == 0
 assert cli.main(["measure", {host!r}, "-o", {report!r}]) == 0
-print("scipy.sparse" in sys.modules)
+print(sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
 """
-        assert _run_python(code) == "False\nFalse\n"
+        assert _run_python(code) == "[]\n"
+        assert json.loads(Path(report).read_text())["rho_star"] is not None
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_connected_graphs())
+    def test_small_graphs_match_dense_within_1e12(self, g):
+        dense = _extremes_dense(g)
+        assert abs(_extreme_iterative(g, "LA") - dense[0]) < 1e-12
+        assert abs(_extreme_iterative(g, "SA") - dense[1]) < 1e-12
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete(90), from_edges(90, [(u, v) for u in range(40) for v in range(40, 90)])],
+        ids=["K90", "K40,50"],
+    )
+    def test_breakdown_goes_on_with_fixed_vectors(self, g):
+        # both Krylov spaces are invariant after a step or two, far short of
+        # the 64-vector basis: the basis goes on from fixed vectors sin(s*i)
+        with mock.patch.object(np, "sin", side_effect=np.sin) as fixed:
+            ends = _extreme_iterative(g, "LA"), _extreme_iterative(g, "SA")
+        assert fixed.call_count > 2  # more than the two start vectors
+        dense = _extremes_dense(g)
+        assert abs(ends[0] - dense[0]) < 1e-12
+        assert abs(ends[1] - dense[1]) < 1e-12
 
     def test_lanczos_matches_dense_within_1e12(self):
         hosts = [
