@@ -200,8 +200,9 @@ def _walk_matvec(g: Graph, deflate: bool) -> tuple[Callable[[np.ndarray], np.nda
     `deflate` the operator is M - 2 v1 v1^T, which moves that eigenvalue to
     -1. Ax sums x over each vertex's neighbours: through a table of width
     max degree, padded with a zero entry at index n, when that at most
-    doubles the entries (regular graphs and their subgraphs), else by a
-    reduceat over the rows.
+    doubles the entries (regular graphs and most of their subgraphs), else
+    by a reduceat over the rows. The table's gather and column sum take
+    about half the time of the reduceat per product.
     """
     n = g.n
     rows, cols = _edge_index(g)

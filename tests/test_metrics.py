@@ -363,6 +363,29 @@ print(sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
         assert _run_python(code) == "[]\n"
         assert json.loads(Path(report).read_text())["rho_star"] is not None
 
+    @pytest.mark.parametrize(
+        "g, padded",
+        [
+            (cycle(30), True),
+            (random_connected_graph(40, 1, extra_edges=60), True),  # max degree 8, mean 4.95
+            (random_connected_graph(40, 5, extra_edges=30), False),  # max degree 8, mean 3.45
+            (star(29), False),
+        ],
+        ids=["C30", "random-padded", "random-reduceat", "star"],
+    )
+    def test_walk_matvec_matches_dense_operator(self, g, padded):
+        # both neighbour-sum paths: the padded table where it at most doubles
+        # the entries, else reduceat (a star would pad to n^2)
+        deg = np.array([len(a) for a in g.adj])
+        assert (deg.max() * g.n <= 2 * deg.sum()) == padded
+        m = walk_matrix_dense(g)
+        v1 = np.sqrt(deg / deg.sum())
+        x = np.cos(np.arange(g.n))
+        for deflate, op in ((False, m), (True, m - 2.0 * np.outer(v1, v1))):
+            matvec, top = metrics._walk_matvec(g, deflate)
+            assert np.allclose(top, v1, rtol=0, atol=1e-15)
+            assert np.allclose(matvec(x), op @ x, rtol=0, atol=1e-14)
+
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(_connected_graphs())
     def test_small_graphs_match_dense_within_1e12(self, g):
