@@ -93,7 +93,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
     Vertices are indexed row-major: (u, a) -> u*h.n + a.
     """
-    graphcore.check_vertex_count(g.n * h.n)
+    graphcore.check_size(g.n * h.n, g.m * h.n + h.m * g.n)
     hn = h.n
     edges = []
     for u in range(g.n):
@@ -275,11 +275,11 @@ def build_family(spec: FamilySpec) -> BuildResult:
     kind, p = spec.kind, {**_DEFAULTS.get(spec.kind, {}), **spec.params}
     if kind == "random-regular":
         _require(p, "n", "d", spec)
-        graphcore.check_vertex_count(p["n"])
+        graphcore.check_size(p["n"], p["n"] * p["d"] // 2)
         return BuildResult(random_regular(p["n"], p["d"], p["seed"]))
     if kind in ("cycle", "complete"):
         _require(p, "n", None, spec)
-        graphcore.check_vertex_count(p["n"])
+        graphcore.check_size(p["n"], p["n"] if kind == "cycle" else p["n"] * (p["n"] - 1) // 2)
         return BuildResult(named_graph(kind, p["n"]))
     if kind == "petersen":
         return BuildResult(named_graph("petersen"))

@@ -212,7 +212,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
     )
     out = Path(args.output)
-    save_graph(edge_subgraph(g, result.kept), out)
+    save_graph(result.graph, out)
     outputs = [out]
     if args.report:
         girth_cell, unbounded = _girth_cells(result.girth_achieved)
@@ -223,7 +223,7 @@ def _cmd_search(args) -> int:
                 "strategy": result.strategy,
                 "seed": result.seed,
                 "budget": args.budget,
-                "kept_edges": len(result.kept),
+                "kept_edges": result.graph.m,
                 "girth_achieved": girth_cell,
                 "girth_unbounded": unbounded,
                 "gap": result.gap,
@@ -337,11 +337,14 @@ def _cmd_tower(args) -> int:
 
 def _cmd_rerun(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="ascii"))
-    argv, expected = manifest.get("argv"), manifest.get("outputs")
-    if not isinstance(argv, list) or not argv or not isinstance(expected, dict):
-        raise ValueError(f"manifest {args.manifest} has no argv to replay or no outputs to check")
-    if argv[0] == "rerun":
+    fields = manifest if isinstance(manifest, dict) else {}
+    argv, expected = fields.get("argv"), fields.get("outputs")
+    if isinstance(argv, list) and argv[:1] == ["rerun"]:
         raise ValueError(f"manifest {args.manifest} replays rerun, which would recurse")
+    if not (isinstance(argv, list) and argv and isinstance(expected, dict) and expected) or not all(
+        isinstance(x, str) for x in [*argv, *expected.values()]
+    ):
+        raise ValueError(f"manifest {args.manifest} has no argv to replay or no outputs to check")
     code = main(argv)
     if code != 0:
         return code

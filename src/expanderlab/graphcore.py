@@ -23,6 +23,8 @@ from .errors import ComputationRefused
 UNREACHABLE = -1
 #: Largest vertex count any graph may have; refused before anything is built.
 VERTEX_CAP = 4_000_000
+#: Largest edge count a family may ask for; refused before anything is built.
+EDGE_CAP = 2 * VERTEX_CAP
 #: Sources per pass of `reach_levels`: each per-vertex bitset list then takes
 #: n * REACH_BLOCK / 8 bytes.
 REACH_BLOCK = 4096
@@ -70,17 +72,19 @@ class Graph:
         return hashlib.sha256(write_edge_list_text(self).encode("ascii")).hexdigest()
 
 
-def check_vertex_count(n: int) -> None:
-    """Refuse a graph on more than VERTEX_CAP vertices before it is allocated."""
+def check_size(n: int, m: int = 0) -> None:
+    """Refuse a graph on more than VERTEX_CAP vertices or EDGE_CAP edges before it is allocated."""
     if n > VERTEX_CAP:
         raise ComputationRefused(f"{n} vertices exceed the cap of {VERTEX_CAP}")
+    if m > EDGE_CAP:
+        raise ComputationRefused(f"{m} edges exceed the cap of {EDGE_CAP}")
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from n and (u, v) pairs in either order, rejecting any invariant violation."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    check_vertex_count(n)
+    check_size(n)
     nbrs: list = [[] for _ in range(n)]
     for e in edges:
         u, v = e

@@ -10,10 +10,13 @@ shipped and raced by the probe:
                     floor, then trim residual short cycles
   anneal            simulated annealing over edge subsets
 
-All three mutate one working form: sorted, symmetric adjacency lists, the
-lists a `Graph` freezes. Pair sets from outside are validated once, through
-`edge_subgraph`. Every returned candidate is re-measured from scratch (girth,
-gap, connectivity) — nothing is trusted from the search loop's bookkeeping.
+Every step takes a spanning subgraph of the host as a `Graph` and returns
+one: it copies the adjacency into sorted, symmetric lists, mutates them and
+freezes them again. Pairs are validated against the host through
+`edge_subgraph` in two places only: percolate-repair's sample, where pairs
+enter, and the re-measure of every returned candidate (girth, gap,
+connectivity), which is also the check that it lies in the host — nothing is
+trusted from the search loop's bookkeeping.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import graphcore
 from .builders import (
@@ -111,25 +114,27 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
 # --- repair and augmentation ---------------------------------------------
 
 
-def reconnect_repair(host: Graph, sub: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+def reconnect_repair(host: Graph, sub: Graph) -> Graph:
     """Join the components of `sub` with host edges, smallest-index first.
 
-    Every added edge bridges two components at insertion time, so no cycle is
-    created and the girth of `sub` is preserved exactly.
+    `sub` is a spanning subgraph of `host`. Every added edge bridges two
+    components at insertion time, so no cycle is created and the girth of
+    `sub` is preserved exactly.
     """
     if not is_connected(host):
         raise ValueError("reconnect_repair requires a connected host")
-    edges = set(edge_subgraph(host, sub).edges())
+    adj = [list(a) for a in sub.adj]
     ds = DisjointSet(host.n)
-    for u, v in edges:
+    for u, v in sub.edges():
         ds.union(u, v)
     if ds.count > 1:
         for u, v in host.edges():
             if ds.union(u, v):
-                edges.add((u, v))
+                insort(adj[u], v)
+                insort(adj[v], u)
                 if ds.count == 1:
                     break
-    return frozenset(edges)
+    return Graph(host.n, tuple(map(tuple, adj)))
 
 
 def _far_candidates(host: Graph, sub: Graph, need: int) -> list[tuple]:
@@ -177,31 +182,25 @@ def _far_candidates(host: Graph, sub: Graph, need: int) -> list[tuple]:
     return out
 
 
-def augment_edges(
-    host: Graph,
-    sub: Iterable[tuple[int, int]],
-    girth_floor: int,
-    budget: int,
-) -> frozenset[tuple[int, int]]:
+def augment_edges(host: Graph, sub: Graph, girth_floor: int, budget: int) -> Graph:
     """Greedily add host edges whose endpoints are far apart in `sub`.
 
-    A candidate {u,v} is added only while dist_sub(u,v) >= girth_floor - 1,
-    so every cycle it creates has length >= girth_floor. Candidates are
-    processed by decreasing current distance (unreachable first, ties
-    lexicographic), until the budget is spent or none qualify. Distances only
-    shrink as edges arrive, so a lazy max-heap with re-validation is exact,
-    and a pair already closer than the floor is never queued. A popped pair
-    is re-measured by a bidirectional BFS capped at depth stored - 1: the
-    current distance is at most the stored one, so finding nothing within
-    that depth means it still equals the stored one, and the deepest layer
-    is never expanded.
+    `sub` is a spanning subgraph of `host`. A candidate {u,v} is added only
+    while dist_sub(u,v) >= girth_floor - 1, so every cycle it creates has
+    length >= girth_floor. Candidates are processed by decreasing current
+    distance (unreachable first, ties lexicographic), until the budget is
+    spent or none qualify. Distances only shrink as edges arrive, so a lazy
+    max-heap with re-validation is exact, and a pair already closer than the
+    floor is never queued. A popped pair is re-measured by a bidirectional
+    BFS capped at depth stored - 1: the current distance is at most the
+    stored one, so finding nothing within that depth means it still equals
+    the stored one, and the deepest layer is never expanded.
     """
     if girth_floor < 3:
         raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
-    start = edge_subgraph(host, sub)
-    adj = [list(a) for a in start.adj]
+    adj = [list(a) for a in sub.adj]
     need = girth_floor - 1
-    heap = _far_candidates(host, start, need)
+    heap = _far_candidates(host, sub, need)
     heapq.heapify(heap)
     adds = 0
     while heap and adds < budget:
@@ -216,7 +215,7 @@ def augment_edges(
         insort(adj[u], v)
         insort(adj[v], u)
         adds += 1
-    return Graph(host.n, tuple(map(tuple, adj))).edge_set()
+    return Graph(host.n, tuple(map(tuple, adj)))
 
 
 # --- search --------------------------------------------------------------
@@ -224,7 +223,7 @@ def augment_edges(
 
 @dataclass(frozen=True)
 class SearchResult:
-    kept: frozenset[tuple[int, int]]
+    graph: Graph  # the re-measured subgraph
     girth_achieved: object  # int or UNBOUNDED
     gap: float
     h_exact: Optional[Fraction]
@@ -245,11 +244,12 @@ def _anneal(
     girth_target: int,
     budget: int,
     seed: int,
-    init_kept: frozenset[tuple[int, int]],
-) -> frozenset[tuple[int, int]]:
-    """Simulated annealing over edge subsets of the host.
+    start: Graph,
+) -> Graph:
+    """Simulated annealing over edge subsets of the host, from `start`.
 
-    Moves toggle one uniformly random host edge. The objective is
+    `start` is a spanning subgraph of `host`. Moves toggle one uniformly
+    random host edge. The objective is
     gap_proxy - penalty*max(0, target - girth) - penalty_disc*(components-1),
     where the exact spectral gap is recomputed every `recompute_every`
     accepted moves and tracked in between by a degree-variance surrogate.
@@ -266,7 +266,7 @@ def _anneal(
     n = host.n
     host_edges = list(host.edges())
     stream = Stream(split(seed, _PHASE_ANNEAL))
-    best = edge_subgraph(host, init_kept)
+    best = start
     adj = [list(a) for a in best.adj]
     ds = DisjointSet(n)
     for u, v in best.edges():
@@ -302,7 +302,7 @@ def _anneal(
     best_est_obj = cur_obj
 
     if budget <= 0:
-        return best.edge_set()
+        return best
 
     alpha = _ANNEAL_T_END_RATIO ** (1.0 / budget)
     temp = _ANNEAL_T0
@@ -356,7 +356,7 @@ def _anneal(
                 if exact_obj > best_exact_obj:
                     best_exact_obj = exact_obj
                     best = snap
-    return best.edge_set()
+    return best
 
 
 def _check_ratio(ratio: float) -> None:
@@ -392,28 +392,24 @@ def search_spanning_subexpander(
         girth_target = math.ceil(ratio * diameter(host))
     target_eff = max(girth_target, 3)  # girth >= 3 holds vacuously for any target below
 
-    base_m = host.m
     if strategy == "trim":
         out = trim_to_girth(host, target_eff)
-        kept = out.edge_set()
-        iterations = base_m - len(kept)
+        iterations = host.m - out.m
     elif strategy == "percolate-repair":
         spec = host_spectrum if host_spectrum is not None else spectrum(host)
         denom = spec.rho_star * host.max_degree
         p = 1.0 / denom if denom > 0 else _PERCOLATE_P_HI
         p = min(max(p, _PERCOLATE_P_LO), _PERCOLATE_P_HI)
         sample = percolate(host, p, split(seed, _PHASE_PERC))
-        sub = reconnect_repair(host, sample.retained)
-        augmented = augment_edges(host, sub, target_eff, budget)
-        out = trim_to_girth(edge_subgraph(host, augmented), target_eff)
-        kept = out.edge_set()
-        iterations = len(augmented - sub) + (len(augmented) - len(kept))
+        repaired = reconnect_repair(host, edge_subgraph(host, sample.retained))
+        augmented = augment_edges(host, repaired, target_eff, budget)
+        out = trim_to_girth(augmented, target_eff)
+        iterations = 2 * augmented.m - repaired.m - out.m
     else:  # anneal
-        init = trim_to_girth(host, target_eff).edge_set()
-        kept = _anneal(host, target_eff, budget, seed, init)
+        out = _anneal(host, target_eff, budget, seed, trim_to_girth(host, target_eff))
         iterations = budget
 
-    sub = edge_subgraph(host, kept)
+    sub = edge_subgraph(host, out.edge_set())
     connected = is_connected(sub)
     girth_achieved = girth(sub)
     gap = spectrum(sub).gap if connected and sub.n >= 2 else 0.0
@@ -421,7 +417,7 @@ def search_spanning_subexpander(
     if 3 <= sub.n <= DEFAULT_EXACT_MAX:
         h = cheeger_exact(sub)
     return SearchResult(
-        kept=frozenset(kept),
+        graph=sub,
         girth_achieved=girth_achieved,
         gap=gap,
         h_exact=h,

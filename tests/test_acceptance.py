@@ -175,7 +175,7 @@ def test_criterion_07_trimming_contract():
     for i, h in enumerate(hosts):
         sub = percolate(h, 0.5, i).retained
         before = metrics.girth(edge_subgraph(h, sub))
-        after = metrics.girth(edge_subgraph(h, reconnect_repair(h, sub)))
+        after = metrics.girth(reconnect_repair(h, edge_subgraph(h, sub)))
         if before != after:
             repair_violations += 1
     elapsed = time.time() - t0

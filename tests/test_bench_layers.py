@@ -2,15 +2,25 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
-def test_every_traced_function_exists():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_exists():
+    tracing = _load_tracing()
     missing = [
         f"{module}.{name}"
         for module, names in tracing.LAYERS.items()
@@ -18,3 +28,25 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"expanderlab.{module}"), name, None))
     ]
     assert not missing
+
+
+def test_traced_search_counts_the_anneal_moves(tmp_path):
+    # the traced run reads SearchResult.strategy and .iterations_used
+    budget = 40
+    commands = [["gen", "random-regular:n=20,d=4,seed=3", "-o", "rr.el"]] + [
+        ["search", "rr.el", "--girth", "5", "--strategy", strategy, "--budget", str(budget),
+         "-o", f"{strategy}.el"]
+        for strategy in ("anneal", "percolate-repair")
+    ]
+    (tmp_path / "commands.json").write_text(json.dumps(commands))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, str(TRACING), "commands.json", "out.json"],
+        cwd=tmp_path, env=env, check=True, timeout=300,
+    )
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert [c["rc"] for c in out["commands"]] == [0, 0, 0]
+    layers = _load_tracing().per_layer(out["spans"], out["import_s"])
+    assert layers["search.anneal.moves"] == budget
+    assert {"search.anneal", "search.percolate-repair"} <= {span[0] for span in out["spans"]}

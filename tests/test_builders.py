@@ -20,7 +20,13 @@ from expanderlab.builders import (
     random_regular,
 )
 from expanderlab.errors import ComputationRefused
-from expanderlab.graphcore import bfs_distances, from_edges, is_connected, write_edge_list_text
+from expanderlab.graphcore import (
+    Graph,
+    bfs_distances,
+    from_edges,
+    is_connected,
+    write_edge_list_text,
+)
 from oracles import random_connected_graph
 
 
@@ -146,6 +152,17 @@ class TestCartesianProduct:
         with mock.patch.object(graphcore, "VERTEX_CAP", 5000):
             with pytest.raises(ComputationRefused, match="cap"):
                 cartesian_product(g, g)
+
+    def test_edge_cap_checked_before_the_edge_loop(self):
+        # K_300 x K_300 has 90,000 vertices but 26,910,000 edges
+        class NoEdges(Graph):
+            def edges(self):
+                raise AssertionError("edge loop ran for a refused product")
+
+        k = named_graph("complete", 300)
+        g = NoEdges(k.n, k.adj)
+        with pytest.raises(ComputationRefused, match="26910000 edges exceed the cap"):
+            cartesian_product(g, g)
 
 
 class TestNamedGraph:

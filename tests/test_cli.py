@@ -2,10 +2,11 @@ import json
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from expanderlab import builders, cli, graphcore, metrics
+from expanderlab import builders, cli, graphcore, metrics, search
 from expanderlab.builders import named_graph
 from expanderlab.graphcore import load_graph, save_graph, write_edge_list_text
 
@@ -177,6 +178,23 @@ class TestTrimSearch:
         sub = load_graph(out)
         assert sub.n == 4
 
+    @pytest.mark.parametrize(
+        "strategy, validations", [("trim", 1), ("anneal", 1), ("percolate-repair", 2)]
+    )
+    def test_search_validates_pairs_once_per_entry(self, tmp_path, strategy, validations):
+        # percolate-repair's sample and the re-measure; the steps pass one Graph between them
+        path = tmp_path / "rr.el"
+        save_graph(builders.random_regular(20, 4, seed=3), path)
+        argv = ["search", path, "--girth", 5, "--strategy", strategy, "--budget", 50,
+                "-o", tmp_path / "s.el"]
+        with (
+            mock.patch.object(search, "edge_subgraph", wraps=search.edge_subgraph) as in_search,
+            mock.patch.object(cli, "edge_subgraph", wraps=cli.edge_subgraph) as in_cli,
+        ):
+            assert run(argv) == 0
+        assert in_search.call_count == validations
+        assert in_cli.call_count == 0
+
     def test_search_requires_one_target(self, tmp_path):
         path = tmp_path / "c6.el"
         save_graph(named_graph("cycle", 6), path)
@@ -300,6 +318,23 @@ class TestProbeAndManifest:
         assert run(["rerun", manifest_path]) == cli.EXIT_INPUT
         assert "replays rerun" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [["gen", "cycle:n=5", "-o", "x.el"]],
+            {"argv": ["gen", "cycle:n=5", "-o", 5], "outputs": {"x.el": "0" * 64}},
+            {"argv": ["gen", "cycle:n=5", "-o", "x.el"], "outputs": {"x.el": 0}},
+            {"argv": ["gen", "cycle:n=5", "-o", "x.el"], "outputs": {}},
+        ],
+        ids=["list", "non-string-argv", "non-string-digest", "empty-outputs"],
+    )
+    def test_rerun_malformed_manifest_exit2(self, tmp_path, monkeypatch, manifest):
+        monkeypatch.chdir(tmp_path)
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert run(["rerun", manifest_path]) == cli.EXIT_INPUT
+        assert not (tmp_path / "x.el").exists()
+
     def test_rerun_manifest_without_outputs_exit2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         manifest_path = tmp_path / "m.json"
@@ -352,6 +387,22 @@ class TestExitCodes:
         monkeypatch.setattr(builders, "named_graph", unreachable)
         for spec in ("random-regular:n=1001,d=4", "cycle:n=1001", "complete:n=1001"):
             assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, edges",
+        [("complete:n=60000", 1_799_970_000), ("random-regular:n=200000,d=100000", 10**10)],
+    )
+    def test_family_edge_cap_checked_before_building(self, tmp_path, capsys, monkeypatch,
+                                                    spec, edges):
+        def unreachable(*args):
+            raise AssertionError("builder ran for a refused edge count")
+
+        monkeypatch.setattr(builders, "random_regular", unreachable)
+        monkeypatch.setattr(builders, "named_graph", unreachable)
+        out = tmp_path / "g.el"
+        assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
+        assert f"{edges} edges exceed the cap" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tower_refused_is_3(self, tmp_path):

@@ -421,7 +421,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
                 host, ratio=0.5, strategy=strategy, budget=40, seed=3
             )
             assert res.connected
-            graphs.append(edge_subgraph(host, res.kept))
+            graphs.append(res.graph)
         for g in graphs:
             assert metrics._DENSE_EIGEN_LIMIT < g.n <= 1320
             dense = _extremes_dense(g)

@@ -129,26 +129,26 @@ class TestTrim:
 class TestReconnectRepair:
     def test_connected_unchanged(self):
         g = cycle(6)
-        assert reconnect_repair(g, g.edges()) == g.edge_set()
+        assert reconnect_repair(g, edge_subgraph(g, g.edges())).edge_set() == g.edge_set()
 
     def test_two_components_one_edge(self):
         g = cycle(6)
         sub = {(0, 1), (1, 2), (3, 4), (4, 5)}
-        repaired = reconnect_repair(g, sub)
+        repaired = reconnect_repair(g, edge_subgraph(g, sub)).edge_set()
         assert len(repaired) == 5
         assert len(repaired - sub) == 1
         assert is_connected(edge_subgraph(g, repaired))
 
     def test_empty_sub_gives_spanning_tree(self):
         g = cycle(5)
-        repaired = reconnect_repair(g, set())
+        repaired = reconnect_repair(g, edge_subgraph(g, set())).edge_set()
         assert len(repaired) == 4
         assert girth(edge_subgraph(g, repaired)) == UNBOUNDED
 
     def test_disconnected_host_rejected(self):
         g = from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
-            reconnect_repair(g, set())
+            reconnect_repair(g, edge_subgraph(g, set()))
 
     def test_preserves_girth_on_percolation_outputs(self):
         for seed in range(40):
@@ -157,42 +157,33 @@ class TestReconnectRepair:
                 continue
             sub = percolate(host, 0.45, seed).retained
             before = girth(edge_subgraph(host, sub))
-            repaired = reconnect_repair(host, sub)
+            repaired = reconnect_repair(host, edge_subgraph(host, sub)).edge_set()
             after = girth(edge_subgraph(host, repaired))
             assert before == after
-
-
-@pytest.mark.parametrize("edge", [(7, 8), (-1, 0)])
-def test_out_of_range_pair_is_a_value_error(edge):
-    # both validate through edge_subgraph; a vertex outside 0..n-1 is not an IndexError
-    with pytest.raises(ValueError, match="not present"):
-        reconnect_repair(cycle(5), [edge])
-    with pytest.raises(ValueError, match="not present"):
-        augment_edges(cycle(5), [edge], 3, 1)
 
 
 class TestAugment:
     def test_no_candidates(self):
         g = cycle(5)
-        assert augment_edges(g, g.edges(), 5, 10) == g.edge_set()
+        assert augment_edges(g, g, 5, 10) == g
 
     def test_closes_c5_from_path(self):
         host = cycle(5)
         sub = {(0, 1), (1, 2), (2, 3), (3, 4)}
-        out = augment_edges(host, sub, 5, 10)
+        out = augment_edges(host, edge_subgraph(host, sub), 5, 10).edge_set()
         assert out == host.edge_set()
         assert girth(edge_subgraph(host, out)) == 5
 
     def test_floor3_accepts_any_nonadjacent_pair(self):
         host = named_graph("complete", 4)
         sub = {(0, 1), (1, 2), (2, 3)}
-        out = augment_edges(host, sub, 3, 10)
+        out = augment_edges(host, edge_subgraph(host, sub), 3, 10).edge_set()
         assert out == host.edge_set()
 
     def test_budget_respected(self):
         host = named_graph("complete", 6)
-        out = augment_edges(host, set(), 3, budget=2)
-        assert len(out) == 2
+        out = augment_edges(host, edge_subgraph(host, set()), 3, budget=2)
+        assert out.m == 2
 
     def test_never_creates_short_cycle(self):
         # debug mode: replay one insertion at a time, recomputing girth after
@@ -207,11 +198,11 @@ class TestAugment:
             trials += 1
             floor = 4 + seed % 4
             sub = set(percolate(host, 0.3, seed).retained)
-            final = augment_edges(host, sub, floor, budget=100)
+            final = augment_edges(host, edge_subgraph(host, sub), floor, budget=100).edge_set()
             added = final - sub
             current = set(sub)
             for _ in range(len(added)):
-                step = augment_edges(host, current, floor, budget=1)
+                step = augment_edges(host, edge_subgraph(host, current), floor, 1).edge_set()
                 new = step - current
                 assert len(new) == 1
                 before = girth(edge_subgraph(host, current))
@@ -222,7 +213,7 @@ class TestAugment:
 
     def test_bad_floor(self):
         with pytest.raises(ValueError):
-            augment_edges(cycle(5), set(), 2, 1)
+            augment_edges(cycle(5), edge_subgraph(cycle(5), set()), 2, 1)
 
 
 @st.composite
@@ -247,9 +238,8 @@ class TestAgainstReferences:
     def test_augment_edges(self, host_sub, floor, budget):
         # budgets run from 0 to well above the candidate count (m <= 65)
         host, sub = host_sub
-        assert augment_edges(host, sub, floor, budget) == augment_edges_reference(
-            host, sub, floor, budget
-        )
+        got = augment_edges(host, edge_subgraph(host, sub), floor, budget).edge_set()
+        assert got == augment_edges_reference(host, sub, floor, budget)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 80), st.sampled_from([1, 3, 7]))
@@ -257,7 +247,7 @@ class TestAgainstReferences:
         # blocks below n split the all-sources pass that fills the first heap
         host, sub = host_sub
         with mock.patch.object(graphcore, "REACH_BLOCK", block):
-            got = augment_edges(host, sub, floor, budget)
+            got = augment_edges(host, edge_subgraph(host, sub), floor, budget).edge_set()
         assert got == augment_edges_reference(host, sub, floor, budget)
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -284,10 +274,8 @@ class TestAgainstReferences:
     @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
     def test_anneal(self, host_sub, target, budget, seed):
         host, sub = host_sub
-        init = frozenset(sub)
-        assert _anneal(host, target, budget, seed, init) == anneal_reference(
-            host, target, budget, seed, init
-        )
+        got = _anneal(host, target, budget, seed, edge_subgraph(host, sub)).edge_set()
+        assert got == anneal_reference(host, target, budget, seed, frozenset(sub))
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
@@ -297,7 +285,7 @@ class TestAgainstReferences:
         # states skip the solve (spectrum would raise on them).
         host, sub = host_sub
         with mock.patch.object(search, "spectrum", side_effect=spectrum) as spy:
-            _anneal(host, target, budget, seed, frozenset(sub))
+            _anneal(host, target, budget, seed, edge_subgraph(host, sub))
         for (g,), _ in spy.call_args_list:
             assert g == edge_subgraph(host, g.edge_set())
 
@@ -308,7 +296,7 @@ class TestSearch:
         res = search_spanning_subexpander(host, girth_target=5, strategy="trim", budget=10, seed=0)
         assert res.connected
         assert res.girth_achieved == UNBOUNDED or res.girth_achieved >= 5
-        assert res.kept == host.edge_set()  # girth(Petersen)=5 already meets 5
+        assert res.graph == host  # girth(Petersen)=5 already meets 5
 
     def test_k4_trim_target4(self):
         res = search_spanning_subexpander(
@@ -321,7 +309,7 @@ class TestSearch:
         host = spanning_path(8)
         res = search_spanning_subexpander(host, girth_target=10, strategy="trim", budget=10, seed=0)
         assert res.girth_achieved == UNBOUNDED
-        assert res.kept == host.edge_set()
+        assert res.graph == host
         assert res.gap == spectrum(host).gap
 
     def test_ratio_target(self):
@@ -356,8 +344,8 @@ class TestSearch:
             res = search_spanning_subexpander(
                 host, girth_target=5, strategy=strategy, budget=300, seed=seed
             )
-            assert res.kept <= host.edge_set()
-            sub = edge_subgraph(host, res.kept)
+            sub = res.graph
+            assert sub == edge_subgraph(host, sub.edge_set())
             assert sub.n == host.n
             assert girth(sub) == res.girth_achieved
             assert is_connected(sub) == res.connected
@@ -377,8 +365,8 @@ class TestSearch:
 class TestAnneal:
     def test_budget_zero_returns_initial(self):
         host = random_regular(12, 4, seed=5)
-        init = trim_to_girth(host, 5).edge_set()
-        out = _anneal(host, 5, 0, seed=1, init_kept=init)
+        init = trim_to_girth(host, 5)
+        out = _anneal(host, 5, 0, seed=1, start=init)
         assert out == init
 
     def test_best_objective_never_worse_than_initial(self):
@@ -407,7 +395,7 @@ class TestAnneal:
             if not is_connected(host):
                 continue
             init = trim_to_girth(host, 4).edge_set()
-            out = _anneal(host, 4, 1500, seed=seed, init_kept=init)
+            out = _anneal(host, 4, 1500, seed=seed, start=edge_subgraph(host, init)).edge_set()
             assert exact_objective(host, out, 4) >= exact_objective(host, init, 4) - 1e-12
 
 
