@@ -88,6 +88,7 @@ CASES = {
                 ("rr256-percolate-repair-7", "rr256.el", "percolate-repair", "7"),
                 ("rr256-anneal-5", "rr256.el", "anneal", "5"),
                 ("sl2_7-anneal-8", "sl2_7.el", "anneal", "8"),
+                ("sl2_7-percolate-repair-8", "sl2_7.el", "percolate-repair", "8"),
             )
         ),
     ],
@@ -125,6 +126,9 @@ CASES = {
         ["search", "rr1024.el", "--ratio", "0.5", "--strategy", "anneal",
          "--budget", "300", "--seed", "5", "-o", "rr1024-anneal.el",
          "--report", "rr1024-anneal.json"],
+        ["search", "rr1024.el", "--ratio", "0.5", "--strategy", "percolate-repair",
+         "--budget", "300", "--seed", "5", "-o", "rr1024-percolate-repair.el",
+         "--report", "rr1024-percolate-repair.json"],
     ],
     "balls": [
         ["gen", "random-regular:n=32,d=3,seed=1", "-o", "rr32.el"],
@@ -226,6 +230,10 @@ GOLDEN = {
             "dabc4ae445e6ea223392001397f4a171270304f4055234ac2d4eb96e528dc166",
         "sl2_7-anneal-8.json":
             "7290a44032ba487941c59972e656f7936153c7e14c8f1b65895de6d7ed5a044c",
+        "sl2_7-percolate-repair-8.el":
+            "399859549d5f43321ef3aaee84c045988cf8932afd049c7cdddcfa19ed9aea8c",
+        "sl2_7-percolate-repair-8.json":
+            "c95d7c10f1dcb42d7a55284cb25a88416d13dced27abb3b3a823d88ebf129a93",
         "sl2_7.el":
             "dd59e22d83004b5fc46595cd400d65ee5ccb1b2b3b6c9e93f2d7c600c833704a",
         "sl2_7.el.labels":
@@ -240,6 +248,10 @@ GOLDEN = {
             "ba4dd9016a4a266b431336a0519e42a5368c701a2a9eb1596510b215bc69d27d",
         "rr1024-anneal.json":
             "0fad98a6b93cae5b02aae8ac0c984db01aeb1f737ba40a9b89a3d9249daab17c",
+        "rr1024-percolate-repair.el":
+            "e390f09eb4fde119c156f9e809c5dc4572c2d7c9e8ececc9be92d3c906525a74",
+        "rr1024-percolate-repair.json":
+            "ea36b967f0b33986933d668f85fceb741590a084a75a37f2deb1c04fc4b0ccbd",
         "rr1024.el":
             "89c318be687c064a51da0e284553f0dd0c79ac00c037fa2ee8d730260042c2d8",
         "rr1024.json":
