@@ -68,7 +68,8 @@ def graph_power(g: Graph, k: int) -> Graph:
 
     Level k of `graphcore.reach_levels` (or its last level, if it stops
     sooner) holds each vertex's sources within distance k; the sources below
-    a vertex are its edges to them.
+    a vertex are its edges to them. The running edge count is checked
+    against the cap before each vertex's edges are emitted.
     """
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
@@ -81,6 +82,7 @@ def graph_power(g: Graph, k: int) -> Graph:
                 break
         for v in range(lo + 1, n):
             below = reach[v] if v >= hi else reach[v] & ((1 << (v - lo)) - 1)
+            graphcore.check_size(n, len(edges) + below.bit_count())
             while below:
                 low = below & -below
                 edges.append((lo + low.bit_length() - 1, v))

@@ -361,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="expanderlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    budget_help = "cap on percolate-repair's augment additions; trim ignores it"
 
     p = sub.add_parser("gen", parents=[], help="build a graph from a family spec")
     p.add_argument("spec", help="family spec, e.g. random-regular:n=64,d=4,seed=1")
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=None, help="girth target = ceil(ratio*diameter)")
     p.add_argument("--girth", type=int, default=None, help="absolute girth target")
     p.add_argument("--strategy", choices=search.STRATEGIES, default="trim")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=int, default=10_000, help=budget_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="edge-list of the kept subgraph")
     p.add_argument("--report", default=None, help="JSON report path")
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", required=True, help="family spec (repeatable)")
     p.add_argument("--ratios", required=True, help="comma-separated girth/diameter ratios")
     p.add_argument("--strategies", default="all")
-    p.add_argument("--budget", type=int, default=500)
+    p.add_argument("--budget", type=int, default=500, help=budget_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_probe)

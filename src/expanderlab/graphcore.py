@@ -36,7 +36,7 @@ class Graph:
 
     Instances are immutable and hashable; construct via `from_edges`, which
     validates the invariants (symmetry, no loops, no duplicate neighbors).
-    Code that already holds sorted, symmetric lists (trimming, the anneal)
+    Code that already holds sorted, symmetric lists (the search steps)
     freezes them directly with `Graph(n, tuple(map(tuple, adj)))`.
     """
 

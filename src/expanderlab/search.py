@@ -2,13 +2,12 @@
 
 Given a connected host, find a spanning subgraph whose girth clears a target
 (a fixed fraction of the host diameter, or an absolute bound) while keeping
-the spectral gap as large as possible. Three incomparable strategies are
+the spectral gap as large as possible. Two incomparable strategies are
 shipped and raced by the probe:
 
   trim              delete one edge of a shortest cycle until girth >= target
   percolate-repair  Bernoulli-percolate, reconnect, augment under the girth
                     floor, then trim residual short cycles
-  anneal            simulated annealing over edge subsets
 
 Every step takes a spanning subgraph of the host as a `Graph` and returns
 one: it copies the adjacency into sorted, symmetric lists, mutates them and
@@ -54,21 +53,13 @@ from .metrics import (
     spectrum,
 )
 from .percolation import DisjointSet, percolate
-from .rng import Stream, split
+from .rng import split
 
-STRATEGIES = ("trim", "percolate-repair", "anneal")
+STRATEGIES = ("trim", "percolate-repair")
 
 _PHASE_PERC = 0x41
-_PHASE_ANNEAL = 0x42
 _PHASE_PROBE = 0x51
 
-# Tunables with no basis beyond reasonable defaults.
-_ANNEAL_T0 = 1.0
-_ANNEAL_T_END_RATIO = 1e-3
-_ANNEAL_PENALTY = 10.0
-_ANNEAL_PENALTY_DISC = 10.0
-_ANNEAL_RECOMPUTE_EVERY = 64
-_ANNEAL_SURROGATE_WEIGHT = 1.0
 _PERCOLATE_P_LO = 0.05  # percolate-repair clamps p = 1/(rho_star*d) to [lo, hi]
 _PERCOLATE_P_HI = 0.95
 
@@ -233,132 +224,6 @@ class SearchResult:
     iterations_used: int
 
 
-def _capped_girth(adj, n: int, cap: int) -> int:
-    """min(girth, cap): all the anneal objective ever needs."""
-    found = shortest_cycle_scan(adj, n, below=cap)
-    return found[0] if found is not None else cap
-
-
-def _anneal(
-    host: Graph,
-    girth_target: int,
-    budget: int,
-    seed: int,
-    start: Graph,
-) -> Graph:
-    """Simulated annealing over edge subsets of the host, from `start`.
-
-    `start` is a spanning subgraph of `host`. Moves toggle one uniformly
-    random host edge. The objective is
-    gap_proxy - penalty*max(0, target - girth) - penalty_disc*(components-1),
-    where the exact spectral gap is recomputed every `recompute_every`
-    accepted moves and tracked in between by a degree-variance surrogate.
-    A state must beat the incumbent best on the surrogate objective and then
-    on an exactly recomputed one to be retained, so the best is monotone
-    under one consistent objective.
-
-    The component count is counted once and then kept up to date per move:
-    removing uv adds a component exactly when uv is a bridge (no path joins
-    u and v without it), and adding uv merges two only when there is more
-    than one component and u and v are not yet joined. Both are pair
-    distances, so no move copies the edge set or rebuilds a union-find.
-    """
-    n = host.n
-    host_edges = list(host.edges())
-    stream = Stream(split(seed, _PHASE_ANNEAL))
-    best = start
-    adj = [list(a) for a in best.adj]
-    ds = DisjointSet(n)
-    for u, v in best.edges():
-        ds.union(u, v)
-    comp = ds.count
-    sum_deg = sum(map(len, adj))
-    sum_sq = sum(len(a) ** 2 for a in adj)
-
-    def state() -> Graph:
-        return Graph(n, tuple(map(tuple, adj)))
-
-    def degvar() -> float:
-        mean = sum_deg / n
-        return sum_sq / n - mean * mean
-
-    def exact_gap(g: Graph, components: int) -> float:
-        return 0.0 if components > 1 or n < 2 else spectrum(g).gap
-
-    g_capped = _capped_girth(adj, n, girth_target)
-
-    ref_gap = exact_gap(best, comp)
-    ref_degvar = degvar()
-
-    def objective(gap_est: float, capped: int, components: int) -> float:
-        return (
-            gap_est
-            - _ANNEAL_PENALTY * max(0, girth_target - capped)
-            - _ANNEAL_PENALTY_DISC * (components - 1)
-        )
-
-    cur_obj = objective(ref_gap, g_capped, comp)
-    best_exact_obj = cur_obj
-    best_est_obj = cur_obj
-
-    if budget <= 0:
-        return best
-
-    alpha = _ANNEAL_T_END_RATIO ** (1.0 / budget)
-    temp = _ANNEAL_T0
-    accepted = 0
-    for _ in range(budget):
-        temp *= alpha
-        u, v = host_edges[stream.randrange(len(host_edges))]
-        removing = v in adj[u]
-        if removing:
-            adj[u].remove(v)
-            adj[v].remove(u)
-            cand_comp = comp + (pair_distance(adj, u, v) == UNREACHABLE)
-            if g_capped >= girth_target:
-                cand_capped = g_capped  # removal never shrinks girth
-            else:
-                cand_capped = _capped_girth(adj, n, girth_target)
-            insort(adj[u], v)
-            insort(adj[v], u)
-            d_sumdeg, d_sumsq = -2, 2 - 2 * (len(adj[u]) + len(adj[v]))
-        else:
-            d = pair_distance(adj, u, v, girth_target - 2)
-            cand_capped = min(g_capped, d + 1) if d >= 0 else g_capped
-            merges = comp > 1 and d < 0 and pair_distance(adj, u, v) == UNREACHABLE
-            cand_comp = comp - merges
-            d_sumdeg, d_sumsq = 2, 2 + 2 * (len(adj[u]) + len(adj[v]))
-        cand_sumdeg = sum_deg + d_sumdeg
-        cand_sumsq = sum_sq + d_sumsq
-        cand_degvar = cand_sumsq / n - (cand_sumdeg / n) ** 2
-        gap_est = ref_gap - _ANNEAL_SURROGATE_WEIGHT * (cand_degvar - ref_degvar)
-        cand_obj = objective(gap_est, cand_capped, cand_comp)
-        delta = cand_obj - cur_obj
-        if delta >= 0 or stream.uniform() < math.exp(delta / temp):
-            if removing:
-                adj[u].remove(v)
-                adj[v].remove(u)
-            else:
-                insort(adj[u], v)
-                insort(adj[v], u)
-            sum_deg, sum_sq = cand_sumdeg, cand_sumsq
-            g_capped, comp = cand_capped, cand_comp
-            cur_obj = cand_obj
-            accepted += 1
-            if accepted % _ANNEAL_RECOMPUTE_EVERY == 0:
-                ref_gap = exact_gap(state(), comp)
-                ref_degvar = degvar()
-                cur_obj = objective(ref_gap, g_capped, comp)
-            if cur_obj > best_est_obj:
-                best_est_obj = cur_obj
-                snap = state()
-                exact_obj = objective(exact_gap(snap, comp), g_capped, comp)
-                if exact_obj > best_exact_obj:
-                    best_exact_obj = exact_obj
-                    best = snap
-    return best
-
-
 def _check_ratio(ratio: float) -> None:
     if not (math.isfinite(ratio) and ratio > 0):
         raise ValueError(f"girth/diameter ratio must be finite and > 0, got {ratio}")
@@ -395,7 +260,7 @@ def search_spanning_subexpander(
     if strategy == "trim":
         out = trim_to_girth(host, target_eff)
         iterations = host.m - out.m
-    elif strategy == "percolate-repair":
+    else:  # percolate-repair
         spec = host_spectrum if host_spectrum is not None else spectrum(host)
         denom = spec.rho_star * host.max_degree
         p = 1.0 / denom if denom > 0 else _PERCOLATE_P_HI
@@ -405,9 +270,6 @@ def search_spanning_subexpander(
         augmented = augment_edges(host, repaired, target_eff, budget)
         out = trim_to_girth(augmented, target_eff)
         iterations = 2 * augmented.m - repaired.m - out.m
-    else:  # anneal
-        out = _anneal(host, target_eff, budget, seed, trim_to_girth(host, target_eff))
-        iterations = budget
 
     sub = edge_subgraph(host, out.edge_set())
     connected = is_connected(sub)

@@ -9,10 +9,9 @@ enumerations as they once were, one interpreted step per subset.
 `reconstruct_cycle` rebuilds a shortest cycle by a second
 pruned BFS, as trimming once did, and `walk_matrix_dense` fills the walk
 matrix in a Python loop, as the dense spectrum once did. The search
-references at the end are the plain versions of `augment_edges` and
-`_anneal`: one target-stopped BFS per distance and a fresh union-find per
-component count. `percolation_sweep_reference` is the sweep as it once
-was, one `percolate` and one `component_summary` per (p, seed).
+reference at the end is the plain version of `augment_edges`: one
+target-stopped BFS per distance. `percolation_sweep_reference` is the sweep
+as it once was, one `percolate` and one `component_summary` per (p, seed).
 `words_avoid_identity` checks the freeness of a generator pair in SL(2, Z)
 up to a word length.
 """
@@ -36,16 +35,6 @@ from expanderlab.percolation import (
     percolate,
 )
 from expanderlab.rng import Stream, split
-from expanderlab.search import (
-    _ANNEAL_PENALTY,
-    _ANNEAL_PENALTY_DISC,
-    _ANNEAL_RECOMPUTE_EVERY,
-    _ANNEAL_SURROGATE_WEIGHT,
-    _ANNEAL_T0,
-    _ANNEAL_T_END_RATIO,
-    _PHASE_ANNEAL,
-    _capped_girth,
-)
 
 
 def brute_cheeger(g: Graph) -> Fraction:
@@ -344,13 +333,6 @@ def diameter_per_source(g: Graph):
     return worst
 
 
-def _components(n: int, edges) -> int:
-    ds = DisjointSet(n)
-    for u, v in edges:
-        ds.union(u, v)
-    return ds.count
-
-
 def augment_edges_reference(
     host: Graph,
     sub: Iterable[tuple[int, int]],
@@ -396,117 +378,6 @@ def augment_edges_reference(
         adj[v].append(u)
         adds += 1
     return frozenset(kept)
-
-
-def anneal_reference(
-    host: Graph,
-    girth_target: int,
-    budget: int,
-    seed: int,
-    init_kept: frozenset[tuple[int, int]],
-) -> frozenset[tuple[int, int]]:
-    """`search._anneal` with a fresh union-find for every component count."""
-    n = host.n
-    host_edges = list(host.edges())
-    stream = Stream(split(seed, _PHASE_ANNEAL))
-    kept = set(init_kept)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in kept:
-        adj[u].add(v)
-        adj[v].add(u)
-    deg = [len(a) for a in adj]
-    sum_deg = sum(deg)
-    sum_sq = sum(d * d for d in deg)
-
-    def degvar() -> float:
-        mean = sum_deg / n
-        return sum_sq / n - mean * mean
-
-    def exact_gap(edges) -> float:
-        if _components(n, edges) > 1 or n < 2:
-            return 0.0
-        return spectrum(edge_subgraph(host, edges)).gap
-
-    g_capped = _capped_girth(adj, n, girth_target)
-    comp = _components(n, kept)
-
-    ref_gap = exact_gap(kept)
-    ref_degvar = degvar()
-
-    def objective(gap_est: float, capped: int, components: int) -> float:
-        return (
-            gap_est
-            - _ANNEAL_PENALTY * max(0, girth_target - capped)
-            - _ANNEAL_PENALTY_DISC * (components - 1)
-        )
-
-    cur_obj = objective(ref_gap, g_capped, comp)
-    best_kept = frozenset(kept)
-    best_exact_obj = cur_obj
-    best_est_obj = cur_obj
-
-    if budget <= 0:
-        return best_kept
-
-    alpha = _ANNEAL_T_END_RATIO ** (1.0 / budget)
-    temp = _ANNEAL_T0
-    accepted = 0
-    for _ in range(budget):
-        temp *= alpha
-        u, v = host_edges[stream.randrange(len(host_edges))]
-        removing = (u, v) in kept
-        if removing:
-            cand_edges = kept - {(u, v)}
-            cand_comp = _components(n, cand_edges)
-            if g_capped >= girth_target:
-                cand_capped = g_capped  # removal never shrinks girth
-            else:
-                adj[u].discard(v)
-                adj[v].discard(u)
-                cand_capped = _capped_girth(adj, n, girth_target)
-                adj[u].add(v)
-                adj[v].add(u)
-            d_sumdeg, d_sumsq = -2, 2 - 2 * (deg[u] + deg[v])
-        else:
-            cand_edges = kept | {(u, v)}
-            cand_comp = _components(n, cand_edges)
-            d = bfs_distances(adj, u, target=v, max_depth=girth_target - 2)[v]
-            cand_capped = min(g_capped, d + 1) if d >= 0 else g_capped
-            d_sumdeg, d_sumsq = 2, 2 + 2 * (deg[u] + deg[v])
-        cand_sumdeg = sum_deg + d_sumdeg
-        cand_sumsq = sum_sq + d_sumsq
-        cand_degvar = cand_sumsq / n - (cand_sumdeg / n) ** 2
-        gap_est = ref_gap - _ANNEAL_SURROGATE_WEIGHT * (cand_degvar - ref_degvar)
-        cand_obj = objective(gap_est, cand_capped, cand_comp)
-        delta = cand_obj - cur_obj
-        if delta >= 0 or stream.uniform() < math.exp(delta / temp):
-            if removing:
-                kept.discard((u, v))
-                adj[u].discard(v)
-                adj[v].discard(u)
-                deg[u] -= 1
-                deg[v] -= 1
-            else:
-                kept.add((u, v))
-                adj[u].add(v)
-                adj[v].add(u)
-                deg[u] += 1
-                deg[v] += 1
-            sum_deg, sum_sq = cand_sumdeg, cand_sumsq
-            g_capped, comp = cand_capped, cand_comp
-            cur_obj = cand_obj
-            accepted += 1
-            if accepted % _ANNEAL_RECOMPUTE_EVERY == 0:
-                ref_gap = exact_gap(kept)
-                ref_degvar = degvar()
-                cur_obj = objective(ref_gap, g_capped, comp)
-            if cur_obj > best_est_obj:
-                best_est_obj = cur_obj
-                exact_obj = objective(exact_gap(kept), g_capped, comp)
-                if exact_obj > best_exact_obj:
-                    best_exact_obj = exact_obj
-                    best_kept = frozenset(kept)
-    return best_kept
 
 
 # --- percolation references ----------------------------------------------

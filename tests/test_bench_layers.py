@@ -30,13 +30,12 @@ def test_every_traced_function_exists():
     assert not missing
 
 
-def test_traced_search_counts_the_anneal_moves(tmp_path):
-    # the traced run reads SearchResult.strategy and .iterations_used
-    budget = 40
+def test_traced_search_names_its_strategy_spans(tmp_path):
+    # the tracer names each search span by the strategy keyword of the call
     commands = [["gen", "random-regular:n=20,d=4,seed=3", "-o", "rr.el"]] + [
-        ["search", "rr.el", "--girth", "5", "--strategy", strategy, "--budget", str(budget),
+        ["search", "rr.el", "--girth", "5", "--strategy", strategy, "--budget", "40",
          "-o", f"{strategy}.el"]
-        for strategy in ("anneal", "percolate-repair")
+        for strategy in ("trim", "percolate-repair")
     ]
     (tmp_path / "commands.json").write_text(json.dumps(commands))
     env = dict(os.environ)
@@ -48,5 +47,5 @@ def test_traced_search_counts_the_anneal_moves(tmp_path):
     out = json.loads((tmp_path / "out.json").read_text())
     assert [c["rc"] for c in out["commands"]] == [0, 0, 0]
     layers = _load_tracing().per_layer(out["spans"], out["import_s"])
-    assert layers["search.anneal.moves"] == budget
-    assert {"search.anneal", "search.percolate-repair"} <= {span[0] for span in out["spans"]}
+    assert layers["search.trim_to_girth.calls"] == 2  # trim, and percolate-repair's last step
+    assert {"search.trim", "search.percolate-repair"} <= {span[0] for span in out["spans"]}

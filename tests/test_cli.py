@@ -179,7 +179,7 @@ class TestTrimSearch:
         assert sub.n == 4
 
     @pytest.mark.parametrize(
-        "strategy, validations", [("trim", 1), ("anneal", 1), ("percolate-repair", 2)]
+        "strategy, validations", [("trim", 1), ("percolate-repair", 2)]
     )
     def test_search_validates_pairs_once_per_entry(self, tmp_path, strategy, validations):
         # percolate-repair's sample and the re-measure; the steps pass one Graph between them
@@ -403,6 +403,36 @@ class TestExitCodes:
         out = tmp_path / "g.el"
         assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
         assert f"{edges} edges exceed the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_edge_cap_checked_while_building(self, tmp_path, capsys, monkeypatch):
+        # C_100 has 100 edges and passes the cap; its cube has 300
+        monkeypatch.setattr(graphcore, "EDGE_CAP", 100)
+        out = tmp_path / "g.el"
+        assert run(["gen", "power:k=3,inner=(cycle:n=100)", "-o", out]) == cli.EXIT_REFUSED
+        assert "edges exceed the cap of 100" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["magic", "anneal"])
+    def test_unknown_strategy(self, tmp_path, strategy):
+        # directly and replayed from a manifest: usage error 1 for search, input error 2 for probe
+        host = tmp_path / "c10.el"
+        run(["gen", "cycle:n=10", "-o", host])
+        search_argv = ["search", str(host), "--girth", "4", "--strategy", strategy,
+                       "-o", str(tmp_path / "s.el")]
+        out = tmp_path / "probe"
+        probe_argv = ["probe", "--family", "cycle:n=10", "--ratios", "0.5",
+                      "--strategies", strategy, "--out-dir", str(out)]
+        manifest = tmp_path / "m.json"
+        for argv, code in ((search_argv, cli.EXIT_USAGE), (probe_argv, cli.EXIT_INPUT)):
+            manifest.write_text(json.dumps({"argv": argv, "outputs": {"x": "0" * 64}}))
+            for attempt in (argv, ["rerun", manifest]):
+                try:
+                    got = run(attempt)
+                except SystemExit as exc:  # argparse's usage errors exit from the parser
+                    got = exc.code
+                assert got == code
+        assert not (tmp_path / "s.el").exists()
         assert not out.exists()
 
     def test_tower_refused_is_3(self, tmp_path):

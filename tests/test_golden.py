@@ -71,8 +71,6 @@ CASES = {
             for strategy, girth, seed in (
                 ("trim", "5", "4"),
                 ("percolate-repair", "4", "4"),
-                ("anneal", "4", "4"),
-                ("anneal", "3", "7"),
             )
         ),
     ],
@@ -86,8 +84,6 @@ CASES = {
             for name, host, strategy, girth in (
                 ("rr256-percolate-repair-5", "rr256.el", "percolate-repair", "5"),
                 ("rr256-percolate-repair-7", "rr256.el", "percolate-repair", "7"),
-                ("rr256-anneal-5", "rr256.el", "anneal", "5"),
-                ("sl2_7-anneal-8", "sl2_7.el", "anneal", "8"),
                 ("sl2_7-percolate-repair-8", "sl2_7.el", "percolate-repair", "8"),
             )
         ),
@@ -123,9 +119,6 @@ CASES = {
                 ["measure", f"{name}.el", "-o", f"{name}.json"],
             )
         ),
-        ["search", "rr1024.el", "--ratio", "0.5", "--strategy", "anneal",
-         "--budget", "300", "--seed", "5", "-o", "rr1024-anneal.el",
-         "--report", "rr1024-anneal.json"],
         ["search", "rr1024.el", "--ratio", "0.5", "--strategy", "percolate-repair",
          "--budget", "300", "--seed", "5", "-o", "rr1024-percolate-repair.el",
          "--report", "rr1024-percolate-repair.json"],
@@ -187,19 +180,11 @@ GOLDEN = {
     },
     "probe": {
         "probe/probe.csv":
-            "ffc2055651cf664c7e655fab36bb47baeeb47bf67e29ae912d0c4b60209e08a9",
+            "02f051fedd855272c0d4113f3009ac3835695b2fc474b5e17b6a23fce7754f68",
         "probe/probe_summary.json":
-            "6ac866d53752f6ffcb22965de7b9b12d025f1d6e44dcac8c2fe0a5a86dce6251",
+            "252778904cc25847c4ec3a3e009b6dec9fef4a1cadced1106dfe787a76693526",
     },
     "search": {
-        "anneal-3.el":
-            "cf2a8eb3377f6808eae2ceb37f306691c9acbde2df84094c69ce7e5aa4936eab",
-        "anneal-3.json":
-            "9f1ea6e320dfe93f5b9d07ef10c562ff6aa7600104737b30f4bf12db2c954c02",
-        "anneal-4.el":
-            "a0274d13e681b2179406ee7aa83ea19a4ec4c70b568e009d08c6e54c44aacd5c",
-        "anneal-4.json":
-            "d7cc5ef64439aec3132f8cc6bba01400ee3f284cc65a4a6dbc1789790794b2d3",
         "percolate-repair-4.el":
             "298011f7bfedb9fb4f7d009b18771ea3353b77a8450b5f524cf14ec2a8f5b0d9",
         "percolate-repair-4.json":
@@ -212,10 +197,6 @@ GOLDEN = {
             "2a0aa586d80e75086806cf06eebac31ab572ed20741010eebf73e2e091b26211",
     },
     "search-large": {
-        "rr256-anneal-5.el":
-            "e8e327a3015be29ba23dcc44fe7ffa7e1fb0b1260b52bb30a871080cc6aea4e8",
-        "rr256-anneal-5.json":
-            "3f8ebb6278914621b2078564be3ec65af083d0f85451cf386bca7fbdd1f6b3d1",
         "rr256-percolate-repair-5.el":
             "59c5359c122d753265e10955484a65a911852114e365272b79f595cd2705f12d",
         "rr256-percolate-repair-5.json":
@@ -226,10 +207,6 @@ GOLDEN = {
             "1cfec7944400632271105a2f4bd85c365bcd15b2454156744825cfc2605d03f4",
         "rr256.el":
             "16f97aa502f032da824e454d7d8900210ebb44e4fe112179db536abf5b5da9c2",
-        "sl2_7-anneal-8.el":
-            "dabc4ae445e6ea223392001397f4a171270304f4055234ac2d4eb96e528dc166",
-        "sl2_7-anneal-8.json":
-            "7290a44032ba487941c59972e656f7936153c7e14c8f1b65895de6d7ed5a044c",
         "sl2_7-percolate-repair-8.el":
             "399859549d5f43321ef3aaee84c045988cf8932afd049c7cdddcfa19ed9aea8c",
         "sl2_7-percolate-repair-8.json":
@@ -244,10 +221,6 @@ GOLDEN = {
             "7bebcf88169cc6a32f7fdec11a0adf64c2d083e2399ee35a7277a74eb322da00",
         "power1024.json":
             "e42af28a4de88a074c62f3129c056d715f7d8511663135515c1edea4259a5c4d",
-        "rr1024-anneal.el":
-            "ba4dd9016a4a266b431336a0519e42a5368c701a2a9eb1596510b215bc69d27d",
-        "rr1024-anneal.json":
-            "0fad98a6b93cae5b02aae8ac0c984db01aeb1f737ba40a9b89a3d9249daab17c",
         "rr1024-percolate-repair.el":
             "e390f09eb4fde119c156f9e809c5dc4572c2d7c9e8ececc9be92d3c906525a74",
         "rr1024-percolate-repair.json":

@@ -416,7 +416,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
             _build(f"power:k=2,inner=({RR1024})"),
         ]
         graphs = list(hosts)
-        for host, strategy in ((hosts[0], "percolate-repair"), (hosts[1], "trim"), (hosts[2], "anneal")):
+        for host, strategy in ((hosts[0], "percolate-repair"), (hosts[1], "trim"),
+                               (hosts[2], "percolate-repair")):
             res = search.search_spanning_subexpander(
                 host, ratio=0.5, strategy=strategy, budget=40, seed=3
             )

@@ -16,12 +16,8 @@ from expanderlab.builders import (
 from expanderlab.graphcore import edge_subgraph, from_edges, is_connected, shortest_cycle_scan
 from expanderlab.metrics import UNBOUNDED, girth, spectrum
 from expanderlab.percolation import percolate
-from expanderlab.rng import Stream
 from expanderlab.search import (
-    _ANNEAL_PENALTY,
-    _ANNEAL_PENALTY_DISC,
     SearchResult,
-    _anneal,
     _far_candidates,
     augment_edges,
     conjecture_probe,
@@ -30,7 +26,6 @@ from expanderlab.search import (
     trim_to_girth,
 )
 from oracles import (
-    anneal_reference,
     augment_edges_reference,
     bfs_distances,
     random_connected_graph,
@@ -270,26 +265,6 @@ class TestAgainstReferences:
                 expected
             )
 
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-    @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
-    def test_anneal(self, host_sub, target, budget, seed):
-        host, sub = host_sub
-        got = _anneal(host, target, budget, seed, edge_subgraph(host, sub)).edge_set()
-        assert got == anneal_reference(host, target, budget, seed, frozenset(sub))
-
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @given(_host_and_subset(), st.integers(3, 7), st.integers(0, 300), st.integers(0, 99))
-    def test_anneal_solves_on_validated_subgraphs(self, host_sub, target, budget, seed):
-        # the anneal builds its Graph from its own adjacency; each one must be
-        # the graph edge_subgraph would build from the same edges. Disconnected
-        # states skip the solve (spectrum would raise on them).
-        host, sub = host_sub
-        with mock.patch.object(search, "spectrum", side_effect=spectrum) as spy:
-            _anneal(host, target, budget, seed, edge_subgraph(host, sub))
-        for (g,), _ in spy.call_args_list:
-            assert g == edge_subgraph(host, g.edge_set())
-
-
 class TestSearch:
     def test_petersen_absolute_target5(self):
         host = named_graph("petersen")
@@ -324,8 +299,11 @@ class TestSearch:
 
     def test_errors(self):
         host = cycle(6)
-        with pytest.raises(ValueError, match="strategy"):
-            search_spanning_subexpander(host, girth_target=4, strategy="magic", budget=1, seed=0)
+        for strategy in ("magic", "anneal"):
+            with pytest.raises(ValueError, match="strategy"):
+                search_spanning_subexpander(
+                    host, girth_target=4, strategy=strategy, budget=1, seed=0
+                )
         with pytest.raises(ValueError, match="budget"):
             search_spanning_subexpander(host, girth_target=4, strategy="trim", budget=0, seed=0)
         with pytest.raises(ValueError, match="connected"):
@@ -335,7 +313,7 @@ class TestSearch:
         with pytest.raises(ValueError, match="ratio"):
             search_spanning_subexpander(host, strategy="trim", budget=1, seed=0)
 
-    @pytest.mark.parametrize("strategy", ["trim", "percolate-repair", "anneal"])
+    @pytest.mark.parametrize("strategy", ["trim", "percolate-repair"])
     def test_contract_on_random_hosts(self, strategy):
         for seed in range(6):
             host = random_regular(20, 4, seed=3000 + seed)
@@ -350,7 +328,7 @@ class TestSearch:
             assert girth(sub) == res.girth_achieved
             assert is_connected(sub) == res.connected
 
-    @pytest.mark.parametrize("strategy", ["percolate-repair", "anneal"])
+    @pytest.mark.parametrize("strategy", ["percolate-repair"])
     def test_determinism(self, strategy):
         host = random_regular(18, 4, seed=17)
         runs = [
@@ -360,43 +338,6 @@ class TestSearch:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-
-class TestAnneal:
-    def test_budget_zero_returns_initial(self):
-        host = random_regular(12, 4, seed=5)
-        init = trim_to_girth(host, 5)
-        out = _anneal(host, 5, 0, seed=1, start=init)
-        assert out == init
-
-    def test_best_objective_never_worse_than_initial(self):
-        def exact_objective(host, kept, target):
-            sub = edge_subgraph(host, kept)
-            connected = is_connected(sub)
-            gap = spectrum(sub).gap if connected else 0.0
-            gv = girth(sub)
-            deficit = 0 if gv == UNBOUNDED or gv >= target else target - gv
-            comp = 1 if connected else None
-            if comp is None:
-                from expanderlab.percolation import DisjointSet
-
-                ds = DisjointSet(host.n)
-                for u, v in kept:
-                    ds.union(u, v)
-                comp = ds.count
-            return (
-                gap
-                - _ANNEAL_PENALTY * deficit
-                - _ANNEAL_PENALTY_DISC * (comp - 1)
-            )
-
-        for seed in range(5):
-            host = random_regular(10, 4, seed=4000 + seed)
-            if not is_connected(host):
-                continue
-            init = trim_to_girth(host, 4).edge_set()
-            out = _anneal(host, 4, 1500, seed=seed, start=edge_subgraph(host, init)).edge_set()
-            assert exact_objective(host, out, 4) >= exact_objective(host, init, 4) - 1e-12
 
 
 class TestProbe:
@@ -503,7 +444,8 @@ class TestProbe:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             conjecture_probe([], [0.5])
-        with pytest.raises(ValueError, match="strategy"):
-            conjecture_probe(
-                [parse_family_spec("cycle:n=5")], [0.5], strategies=("magic",)
-            )
+        for strategy in ("magic", "anneal"):
+            with pytest.raises(ValueError, match="strategy"):
+                conjecture_probe(
+                    [parse_family_spec("cycle:n=5")], [0.5], strategies=(strategy,)
+                )
