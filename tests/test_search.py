@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import builders, graphcore, metrics, search
+from expanderlab import builders, graphcore, metrics
 from expanderlab.builders import (
     graph_power,
     named_graph,
