@@ -133,11 +133,8 @@ def named_graph(kind: str, n: Optional[int] = None) -> Graph:
 
 # --- FamilySpec ---------------------------------------------------------
 
-_KIND_ALIASES = {"power-of": "power", "product-of": "product"}
-_KNOWN_KINDS = {"random-regular", "cycle", "complete", "petersen", "cayley", "power", "product"}
-
-# canonical key order per kind, for byte-stable round-trips; also the set of
-# keys a kind accepts
+# canonical key order per kind, for byte-stable round-trips; also the known
+# kinds and the set of keys each kind accepts
 _KEY_ORDER = {
     "random-regular": ["n", "d", "seed"],
     "cycle": ["n"],
@@ -194,8 +191,8 @@ def parse_family_spec(text: str) -> FamilySpec:
     if not text:
         raise ValueError("empty family spec")
     kind, _, rest = text.partition(":")
-    kind = _KIND_ALIASES.get(kind.strip(), kind.strip())
-    if kind not in _KNOWN_KINDS:
+    kind = kind.strip()
+    if kind not in _KEY_ORDER:
         raise ValueError(f"unknown family kind {kind!r} in spec {text!r}")
     params: dict = {}
     inner = inner2 = None

@@ -180,14 +180,8 @@ def _cmd_sweep(args) -> int:
     grid = [float(x) for x in args.grid.split(",") if x.strip() != ""]
     rows = percolation.percolation_sweep(g, grid, args.seeds_per, args.seed)
     out = Path(args.output)
-    _write_csv(
-        out,
-        ["p", "seed_count", "giant_mean", "giant_std", "condition_value", "condition_ok"],
-        [
-            [r.p, r.seed_count, r.giant_mean, r.giant_std, r.condition_value, r.condition_ok]
-            for r in rows
-        ],
-    )
+    header = [f.name for f in dataclasses.fields(percolation.SweepRow)]
+    _write_csv(out, header, [dataclasses.astuple(r) for r in rows])
     return _finish(args, [out])
 
 
@@ -227,8 +221,8 @@ def _cmd_search(args) -> int:
                 "girth_achieved": girth_cell,
                 "girth_unbounded": unbounded,
                 "gap": result.gap,
-                "h_exact_num": result.h_exact.numerator if result.h_exact else None,
-                "h_exact_den": result.h_exact.denominator if result.h_exact else None,
+                "h_exact_num": result.h_exact.numerator if result.h_exact is not None else None,
+                "h_exact_den": result.h_exact.denominator if result.h_exact is not None else None,
                 "connected": result.connected,
                 "iterations_used": result.iterations_used,
             },
@@ -271,21 +265,7 @@ def _cmd_probe(args) -> int:
             "budget": args.budget,
             "seed": args.seed,
             "strategies": strategies,
-            "families": [
-                {
-                    "family": s.family,
-                    "per_ratio": [
-                        {
-                            "c": pr.c,
-                            "min_gap": pr.min_gap,
-                            "all_success": pr.all_success,
-                            "girth_grew": pr.girth_grew,
-                        }
-                        for pr in s.per_ratio
-                    ],
-                }
-                for s in summaries
-            ],
+            "families": [dataclasses.asdict(s) for s in summaries],
         },
     )
     return _finish(args, [csv_path, json_path], manifest_path=out_dir / "manifest.json")
@@ -293,7 +273,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_balls(args) -> int:
     g = load_graph(args.graph)
-    rows, summary = metrics.ball_expansion_profile(g, args.radius, exact_limit=args.exact_limit)
+    rows, summary = metrics.ball_expansion_profile(g, args.radius)
     out = Path(args.output)
     csv_rows = [
         ["ball", r.vertex, r.ball_size, r.gap, r.h_exact, None, None, None]
@@ -311,9 +291,7 @@ def _cmd_balls(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    rows = matgroups.girth_tower_report(
-        args.p, args.levels, recipe=args.recipe, order_cap=args.order_cap
-    )
+    rows = matgroups.girth_tower_report(args.p, args.levels, recipe=args.recipe)
     out = Path(args.output)
     csv_rows = []
     for r in rows:
@@ -420,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("balls", help="induced-ball expansion profile")
     p.add_argument("graph")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--exact-limit", type=int, default=16)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_balls)
 
@@ -428,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--recipe", default="sanov")
-    p.add_argument("--order-cap", type=int, default=500_000)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_tower)
 

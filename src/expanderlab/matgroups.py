@@ -21,6 +21,9 @@ from typing import Optional
 from .errors import ComputationRefused
 from .graphcore import Graph, from_edges
 
+#: Largest group `cayley_graph` enumerates before refusing.
+ORDER_CAP = 500_000
+
 
 def group_mul(x: tuple, y: tuple, q: int) -> tuple:
     """Product x*y mod q, 2x2 block by 2x2 block."""
@@ -147,7 +150,7 @@ class CayleyResult:
     full_group_order: Optional[int]
 
 
-def cayley_graph(gens: GeneratorSet, order_cap: int = 500_000) -> CayleyResult:
+def cayley_graph(gens: GeneratorSet) -> CayleyResult:
     """Right-Cayley graph: BFS from the identity, edge {g, gs} per generator.
 
     Vertices are numbered in BFS discovery order (generator order fixed by
@@ -164,6 +167,7 @@ def cayley_graph(gens: GeneratorSet, order_cap: int = 500_000) -> CayleyResult:
     index = {ident: 0}
     order = [ident]
     edges = set()
+    cap = ORDER_CAP
     i = 0
     while i < len(order):
         cur = order[i]
@@ -171,9 +175,9 @@ def cayley_graph(gens: GeneratorSet, order_cap: int = 500_000) -> CayleyResult:
             nxt = group_mul(cur, s, q)
             j = index.get(nxt)
             if j is None:
-                if len(order) >= order_cap:
+                if len(order) >= cap:
                     raise ComputationRefused(
-                        f"group too large: order cap {order_cap} exceeded "
+                        f"group too large: order cap {cap} exceeded "
                         f"(partial count {len(order)})"
                     )
                 j = len(order)
@@ -209,10 +213,17 @@ def generators_from_recipe(recipe: str, q: int) -> GeneratorSet:
     raise ValueError(f"unknown generator recipe {recipe!r}")
 
 
-def cayley_from_recipe(recipe: str, p: int, level: int = 1, order_cap: int = 500_000) -> CayleyResult:
+def cayley_from_recipe(recipe: str, p: int, level: int = 1) -> CayleyResult:
     if level < 1:
         raise ValueError(f"tower level must be >= 1, got {level}")
-    return cayley_graph(generators_from_recipe(recipe, p**level), order_cap=order_cap)
+    # Refused before p**level is computed: 3**30_000_000 alone takes 15 s on
+    # one core of a 2-vCPU host, so the check caps the exponent at 64. At
+    # |q| >= 2^64 the first sanov or elementary generator [[1,k],[0,1]]
+    # (k <= 2) has order >= |q|/2 > ORDER_CAP, so only transvections:<k>
+    # with k sharing nearly all of q could have finished.
+    if abs(p) ** min(level, 64) >= 2**64:
+        raise ComputationRefused(f"modulus {p}^{level} refused: it must be below 2^64")
+    return cayley_graph(generators_from_recipe(recipe, p**level))
 
 
 @dataclass(frozen=True)
@@ -227,9 +238,7 @@ class TowerRow:
     full_group_order: Optional[int]
 
 
-def girth_tower_report(
-    p: int, n_max: int, recipe: str = "sanov", order_cap: int = 500_000
-) -> list[TowerRow]:
+def girth_tower_report(p: int, n_max: int, recipe: str = "sanov") -> list[TowerRow]:
     """One row per tower level q = p, p^2, ..., p^n_max: size, girth, gap.
 
     Where two consecutive levels have equal degree, reduction mod p^{n-1}
@@ -245,7 +254,7 @@ def girth_tower_report(
         raise ValueError(f"tower needs at least one level, got {n_max}")
     rows: list[TowerRow] = []
     for level in range(1, n_max + 1):
-        res = cayley_from_recipe(recipe, p, level, order_cap=order_cap)
+        res = cayley_from_recipe(recipe, p, level)
         g = res.graph
         spec = metrics.spectrum(g)
         rows.append(

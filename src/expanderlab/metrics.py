@@ -10,11 +10,11 @@ Conventions:
     the midpoint (so for even n the half-size sets are excluded).
   - Girth is `math.inf` for forests; diameter is `math.inf` for disconnected
     graphs. Both encode as JSON null plus a boolean flag.
-  - Exact subset enumerations refuse above `max_n` (default 24) instead of
-    silently running for hours, and always above n = 26: at n = 26 their
+  - Exact subset enumerations refuse above n = 26: at n = 26 their
     4*2^n-byte tables already take 256 MiB (one uint32 table for h, two
     uint16 tables for conductance). The tables are built and read by numpy
-    passes over SUBSET_CHUNK subsets at a time.
+    passes over SUBSET_CHUNK subsets at a time. Callers choose their own
+    smaller limit (`DEFAULT_EXACT_MAX`, `BALL_EXACT_MAX`) before calling.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .graphcore import Graph, induced_ball, is_connected, shortest_cycle_scan
 UNBOUNDED = math.inf
 
 DEFAULT_EXACT_MAX = 24
+#: Largest induced ball whose exact h `ball_expansion_profile` reports.
+BALL_EXACT_MAX = 16
 _EXACT_N_CAP = 26
 #: Subsets per numpy pass of the exact enumerations, a power of two: each
 #: pass's temporaries take a few bytes per subset, beside 4 bytes per subset
@@ -60,12 +62,8 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return [sum(1 << v for v in nbrs) for nbrs in g.adj]
 
 
-def _check_exact_size(n: int, max_n: int) -> None:
-    """Refuse an exact enumeration before its 4-bytes-per-subset tables exist."""
-    if n > max_n:
-        raise ComputationRefused(
-            f"exact computation refused: n={n} exceeds max_n={max_n} (2^n subsets)"
-        )
+def _check_exact_size(n: int) -> None:
+    """Refuse n > 26 before the 4-bytes-per-subset tables exist."""
     if n > _EXACT_N_CAP:
         raise ComputationRefused(
             f"exact computation refused: n={n} needs {4 << n} bytes of subset "
@@ -96,7 +94,7 @@ def _fold_least(num: np.ndarray, den: np.ndarray, admissible: np.ndarray, best):
     return (a, b) if a * best[1] < best[0] * b else best
 
 
-def cheeger_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
+def cheeger_exact(g: Graph) -> Fraction:
     """Exact h = min over admissible S of |boundary(S)|/|S| as a Fraction.
 
     S ranges over 0 < |S| < n/2 (strict), and the boundary is the set of
@@ -105,7 +103,7 @@ def cheeger_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
     n = g.n
     if n < 3:
         raise ValueError(f"graph too small for vertex expansion (n={n} < 3)")
-    _check_exact_size(n, max_n)
+    _check_exact_size(n)
     nbr = _neighbor_masks(g)
     # union_adj[S] = union of neighborhoods over members of S, built by
     # doubling: the subsets containing v as their top vertex are those of
@@ -123,7 +121,7 @@ def cheeger_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
     return Fraction(*best)
 
 
-def conductance_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
+def conductance_exact(g: Graph) -> Fraction:
     """Exact conductance: min e(S, S̄)/vol(S) over S with 0 < vol(S) <= vol(G)/2.
 
     Volume is the degree sum. Requires a connected graph with at least one edge.
@@ -131,7 +129,7 @@ def conductance_exact(g: Graph, max_n: int = DEFAULT_EXACT_MAX) -> Fraction:
     n = g.n
     if n < 2:
         raise ValueError(f"graph too small for conductance (n={n} < 2)")
-    _check_exact_size(n, max_n)
+    _check_exact_size(n)
     if not is_connected(g):
         raise ValueError("conductance_exact requires a connected graph")
     nbr = _neighbor_masks(g)
@@ -400,14 +398,12 @@ class BallProfileSummary:
     min_h_exact: Optional[Fraction]
 
 
-def ball_expansion_profile(
-    g: Graph, r: int, exact_limit: int = 16
-) -> tuple[list[BallProfileRow], BallProfileSummary]:
+def ball_expansion_profile(g: Graph, r: int) -> tuple[list[BallProfileRow], BallProfileSummary]:
     """Expansion metrics of every radius-r induced ball.
 
     Each row reports the ball around one vertex: its size, spectral gap
     (None for single-vertex balls, where no spectrum exists), and exact h
-    when the ball has between 3 and `exact_limit` vertices. The summary
+    when the ball has between 3 and `BALL_EXACT_MAX` vertices. The summary
     aggregates min/median gap and min h over the defined entries.
     """
     if r < 1:
@@ -419,8 +415,8 @@ def ball_expansion_profile(
         if ball.n >= 2:
             gap_v = spectrum(ball).gap  # induced balls are connected
         h_v: Optional[Fraction] = None
-        if 3 <= ball.n <= exact_limit:
-            h_v = cheeger_exact(ball, max_n=exact_limit)
+        if 3 <= ball.n <= BALL_EXACT_MAX:
+            h_v = cheeger_exact(ball)
         rows.append(BallProfileRow(vertex=v, ball_size=ball.n, gap=gap_v, h_exact=h_v))
     gaps = [row.gap for row in rows if row.gap is not None]
     hs = [row.h_exact for row in rows if row.h_exact is not None]
@@ -458,10 +454,10 @@ def measure(g: Graph, exact_max: int = DEFAULT_EXACT_MAX) -> MetricsReport:
     connected = is_connected(g)
     h: Optional[Fraction] = None
     if 3 <= g.n <= exact_max:
-        h = cheeger_exact(g, max_n=exact_max)
+        h = cheeger_exact(g)
     cond: Optional[Fraction] = None
     if connected and 2 <= g.n <= exact_max and g.m > 0:
-        cond = conductance_exact(g, max_n=exact_max)
+        cond = conductance_exact(g)
     lam2 = rho = gap = None
     if connected and g.n >= 2:
         spec = spectrum(g)

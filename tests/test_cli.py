@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from expanderlab import builders, cli, graphcore, metrics, search
+from expanderlab import builders, cli, graphcore, matgroups, metrics, search
 from expanderlab.builders import named_graph
 from expanderlab.graphcore import load_graph, save_graph, write_edge_list_text
 
@@ -232,10 +232,9 @@ class TestBallsTower:
         assert [r[3] for r in rows] == ["2", "4", "4"]  # degree
         assert [r[4] for r in rows] == ["6", "4", "6"]  # girth
 
-    def test_tower_order_cap_exit3(self, tmp_path):
-        code = run(
-            ["tower", "--p", 3, "--levels", 2, "--order-cap", 100, "-o", tmp_path / "t.csv"]
-        )
+    def test_tower_order_cap_exit3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matgroups, "ORDER_CAP", 100)
+        code = run(["tower", "--p", 3, "--levels", 2, "-o", tmp_path / "t.csv"])
         assert code == cli.EXIT_REFUSED
 
 
@@ -435,9 +434,40 @@ class TestExitCodes:
         assert not (tmp_path / "s.el").exists()
         assert not out.exists()
 
-    def test_tower_refused_is_3(self, tmp_path):
-        code = run(["tower", "--p", 3, "--levels", 3, "--order-cap", 50, "-o", tmp_path / "t.csv"])
+    def test_tower_refused_is_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matgroups, "ORDER_CAP", 50)
+        code = run(["tower", "--p", 3, "--levels", 3, "-o", tmp_path / "t.csv"])
         assert code == cli.EXIT_REFUSED
+
+    @pytest.mark.parametrize(
+        "spec", ["cayley:p=3,level=30000000", "cayley:p=2,level=64", "cayley:p=-3,level=30000000"]
+    )
+    def test_cayley_modulus_refused_before_the_power(self, tmp_path, spec, capsys):
+        out = tmp_path / "c.el"
+        start = time.perf_counter()
+        assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
+        assert time.perf_counter() - start < 1.0
+        assert "must be below 2^64" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["balls", "{graph}", "--radius", "1", "--exact-limit", "16", "-o", "{out}"],
+            ["tower", "--p", "3", "--levels", "1", "--order-cap", "100", "-o", "{out}"],
+        ],
+        ids=["balls-exact-limit", "tower-order-cap"],
+    )
+    def test_retired_flag_is_usage_error(self, tmp_path, argv):
+        # directly and replayed from an old manifest that still names the flag
+        host, out = tmp_path / "c10.el", tmp_path / "o.csv"
+        run(["gen", "cycle:n=10", "-o", host])
+        argv = [a.format(graph=host, out=out) for a in argv]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"argv": argv, "outputs": {str(out): "0" * 64}}))
+        for attempt in (argv, ["rerun", manifest]):
+            assert run_usage_error(attempt) == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_tower_without_levels_is_2(self, tmp_path):
         for levels in (0, -1):

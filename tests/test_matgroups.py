@@ -1,6 +1,6 @@
 import pytest
 
-from expanderlab import metrics
+from expanderlab import matgroups, metrics
 from expanderlab.errors import ComputationRefused
 from expanderlab.matgroups import (
     CayleyResult,
@@ -172,9 +172,10 @@ class TestCayleyGraph:
         res = cayley_graph(sanov(9))
         assert res.reached_order == 648 == sl2_order(9)
 
-    def test_order_cap(self):
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(matgroups, "ORDER_CAP", 100)
         with pytest.raises(ComputationRefused, match="too large"):
-            cayley_graph(sanov(9), order_cap=100)
+            cayley_graph(sanov(9))
 
     def test_bad_generator_sets(self):
         with pytest.raises(ValueError, match="empty"):
@@ -275,15 +276,16 @@ class TestVertexTransitiveGirth:
     RECIPES = ("sanov", "elementary", "transvections:3", "product:twisted", "product:mixed:elementary")
     CASES = [(p, 1) for p in (2, 3, 5, 7)] + [(p, 2) for p in (2, 3)]
 
-    def test_root_scan_equals_full_scan_on_every_recipe(self):
+    def test_root_scan_equals_full_scan_on_every_recipe(self, monkeypatch):
         # the tower reads girth from vertex 0 because every recipe gives a
         # Cayley graph; check that against the all-vertex scan wherever the
         # full scan is cheap (order cap 2500)
+        monkeypatch.setattr(matgroups, "ORDER_CAP", 2500)
         checked = 0
         for recipe in self.RECIPES:
             for p, level in self.CASES:
                 try:
-                    g = cayley_from_recipe(recipe, p, level, order_cap=2500).graph
+                    g = cayley_from_recipe(recipe, p, level).graph
                 except ValueError as e:
                     assert "collapses to identity" in str(e)
                     continue

@@ -81,18 +81,13 @@ class TestCheegerExact:
         with pytest.raises(ValueError, match="too small"):
             cheeger_exact(from_edges(2, [(0, 1)]))
 
-    def test_refused_above_cap(self):
-        g = random_connected_graph(10, 1)
-        with pytest.raises(ComputationRefused, match="refused"):
-            cheeger_exact(g, max_n=8)
-
     def test_refused_above_table_limit_whatever_max_n(self):
         # the 2^n tables are never allocated: 4 * 2^40 bytes would be 4 TiB
         g = random_connected_graph(40, 2, extra_edges=20)
         with pytest.raises(ComputationRefused, match=f"needs {4 << 40} bytes"):
-            cheeger_exact(g, max_n=40)
+            cheeger_exact(g)
         with pytest.raises(ComputationRefused, match=f"needs {4 << 40} bytes"):
-            conductance_exact(g, max_n=40)
+            conductance_exact(g)
 
     def test_disconnected_small_component_gives_zero(self):
         # triangle + C4: the triangle is admissible (3 < 3.5) with empty boundary
