@@ -213,10 +213,18 @@ class TestFamilySpec:
             canon = canonical_spec_string(spec)
             assert canonical_spec_string(parse_family_spec(canon)) == canon
 
-    def test_errors(self):
-        for text in ("moebius:n=3", "power-of:k=2,inner=(cycle:n=5)"):
+    def test_aliases(self):
+        # the power-of/product-of spellings are retired: each is an unknown kind
+        for text in (
+            "power-of:k=2,inner=(cycle:n=5)",
+            "product-of:inner=(cycle:n=3),inner2=(cycle:n=3)",
+        ):
             with pytest.raises(ValueError, match="unknown family kind"):
                 parse_family_spec(text)
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="unknown family kind"):
+            parse_family_spec("moebius:n=3")
         with pytest.raises(ValueError, match="bad integer"):
             parse_family_spec("cycle:n=abc")
         with pytest.raises(ValueError, match="unbalanced"):
