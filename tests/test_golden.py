@@ -129,6 +129,19 @@ CASES = {
         ["gen", "cayley:recipe=elementary,p=5", "-o", "sl2_5.el"],
         ["balls", "sl2_5.el", "--radius", "2", "-o", "balls_sl2_5.csv"],
     ],
+    "sentinels": [
+        # a disconnected percolation sample and a path: the null-plus-flag
+        # encodings of an unbounded diameter and girth, and exact h of a path
+        ["gen", RR128, "-o", "rr128.el"],
+        ["percolate", "rr128.el", "-p", "0.3", "--seed", "3", "--check-condition",
+         "--keep-out", "kept.el", "-o", "perc.csv"],
+        ["measure", "kept.el", "-o", "kept.json"],
+        ["gen", "cycle:n=12", "-o", "c12.el"],
+        ["trim", "c12.el", "--girth", "13", "-o", "path.el"],
+        ["measure", "path.el", "-o", "path.json"],
+        ["search", "path.el", "--girth", "5", "--strategy", "trim", "--seed", "1",
+         "-o", "s.el", "--report", "s.json"],
+    ],
 }
 
 GOLDEN = {
@@ -215,6 +228,26 @@ GOLDEN = {
             "dd59e22d83004b5fc46595cd400d65ee5ccb1b2b3b6c9e93f2d7c600c833704a",
         "sl2_7.el.labels":
             "c69e401cd9549c87a95f3f9860ac746cd68095e10d2aaa49900aae66da22c5e4",
+    },
+    "sentinels": {
+        "c12.el":
+            "cebcf76978fc31868a9ea4152fd7d1180e35d4ee1430855a030f54ba3e7cc696",
+        "kept.el":
+            "a3827a3d1c794f8d4dc68ebee203db9644478538929377ac88dafa76f4765266",
+        "kept.json":
+            "cd16dfc1094f90ba80454ae88df1e4e269ebcbe1086266c4fffd483a44a535e0",
+        "path.el":
+            "cc252c62e523674caf9a5568cc0de202665971ea1c16099317f38118f6a73496",
+        "path.json":
+            "bf8c0c3afe0016dbeadd13e4ec78c37f79afa42dd160b7c8e4c637eafe657334",
+        "perc.csv":
+            "245910ba8b6a0539823fa157f99b657d4581ce28e9365d9ec56adde09f155d03",
+        "rr128.el":
+            "3048106aad14570ff718e055f25520c8cf7e6a5608c9b2429436c4b7187865ea",
+        "s.el":
+            "cc252c62e523674caf9a5568cc0de202665971ea1c16099317f38118f6a73496",
+        "s.json":
+            "93f72acb9ec56ed73f4dd04f708420646b14e75ff5ab0bdb8017d26408713dee",
     },
     "spectrum-boundary": {
         "power1024.el":
