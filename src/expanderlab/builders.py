@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import graphcore
+from . import graphcore, matgroups
 from .errors import ComputationRefused
 from .graphcore import Graph, from_edges
 from .rng import Stream, split
@@ -283,8 +283,6 @@ def build_family(spec: FamilySpec) -> BuildResult:
     if kind == "petersen":
         return BuildResult(named_graph("petersen"))
     if kind == "cayley":
-        from . import matgroups
-
         _require(p, "p", None, spec)
         result = matgroups.cayley_from_recipe(p["recipe"], p["p"], p["level"])
         return BuildResult(result.graph, labels=result.labels)

@@ -7,7 +7,10 @@ and checks that every output reproduces its recorded SHA-256.
 
 Exit codes: 1 usage, 2 input data, 3 computation refused, 4 internal error,
 5 rerun output mismatch.
-Floats in all outputs are printed at 9 significant digits.
+Floats in all outputs are printed at 9 significant digits. An exact rational
+is written as its numerator and denominator. An unbounded girth (a forest) or
+diameter (a disconnected graph) is written as JSON null or an empty CSV cell
+plus a boolean flag; only probe.csv writes `unbounded` instead.
 """
 
 from __future__ import annotations
@@ -97,30 +100,35 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(manifest_path: Path, command: str, argv: list[str], outputs: list[Path]) -> None:
+def _finish(args, outputs: list[Path], manifest_path: Optional[Path] = None) -> int:
+    """Write the run's manifest, by default beside its first output."""
     manifest = {
         "tool": "expanderlab",
         "version": __version__,
-        "command": command,
-        "argv": list(argv),
+        "command": args.command,
+        "argv": list(args.full_argv),
         "outputs": {str(p): _sha256(p) for p in outputs},
         "environment": _environment(),
     }
+    manifest_path = manifest_path or Path(str(outputs[0]) + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
-
-
-def _finish(args, outputs: list[Path], manifest_path: Optional[Path] = None) -> int:
-    outputs = [p for p in outputs if p is not None]
-    if outputs:
-        if manifest_path is None:
-            manifest_path = Path(str(outputs[0]) + ".manifest.json")
-        _write_manifest(manifest_path, args.command, args.full_argv, outputs)
     return 0
 
 
-def _girth_cells(value) -> list:
+def _fields(cls) -> list[str]:
+    """A result dataclass's field names: the columns of its CSV rows."""
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _unbounded_cells(value) -> list:
+    """[value, False], or [None, True] for UNBOUNDED."""
     unbounded = value == UNBOUNDED
     return [None if unbounded else value, unbounded]
+
+
+def _fraction_cells(x: Optional[Fraction]) -> list:
+    """[numerator, denominator], or [None, None] when there is no value."""
+    return [None, None] if x is None else [x.numerator, x.denominator]
 
 
 # --- command handlers -----------------------------------------------------
@@ -144,9 +152,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    g = load_graph(args.graph)
-    report = metrics.measure(g, exact_max=args.exact_max)
-    payload = metrics.report_to_json_dict(report)
+    rep = metrics.measure(load_graph(args.graph), exact_max=args.exact_max)
+    keys = [
+        "n", "m", "max_degree", "h_exact_num", "h_exact_den", "conductance_num",
+        "conductance_den", "lambda2", "rho_star", "gap", "girth", "girth_unbounded",
+        "diameter", "diameter_disconnected",
+    ]
+    values = [
+        rep.n, rep.m, rep.max_degree, *_fraction_cells(rep.h_exact),
+        *_fraction_cells(rep.conductance), rep.lambda2, rep.rho_star, rep.gap,
+        *_unbounded_cells(rep.girth), *_unbounded_cells(rep.diameter),
+    ]
+    payload = dict(zip(keys, values, strict=True))
     if args.output is None:
         sys.stdout.write(json.dumps(_round9(payload), indent=2) + "\n")
         return 0
@@ -180,8 +197,7 @@ def _cmd_sweep(args) -> int:
     grid = [float(x) for x in args.grid.split(",") if x.strip() != ""]
     rows = percolation.percolation_sweep(g, grid, args.seeds_per, args.seed)
     out = Path(args.output)
-    header = [f.name for f in dataclasses.fields(percolation.SweepRow)]
-    _write_csv(out, header, [dataclasses.astuple(r) for r in rows])
+    _write_csv(out, _fields(percolation.SweepRow), [dataclasses.astuple(r) for r in rows])
     return _finish(args, [out])
 
 
@@ -209,24 +225,17 @@ def _cmd_search(args) -> int:
     save_graph(result.graph, out)
     outputs = [out]
     if args.report:
-        girth_cell, unbounded = _girth_cells(result.girth_achieved)
+        keys = [
+            "strategy", "seed", "budget", "kept_edges", "girth_achieved", "girth_unbounded",
+            "gap", "h_exact_num", "h_exact_den", "connected", "iterations_used",
+        ]
+        values = [
+            result.strategy, result.seed, args.budget, result.graph.m,
+            *_unbounded_cells(result.girth_achieved), result.gap,
+            *_fraction_cells(result.h_exact), result.connected, result.iterations_used,
+        ]
         report_path = Path(args.report)
-        _write_json(
-            report_path,
-            {
-                "strategy": result.strategy,
-                "seed": result.seed,
-                "budget": args.budget,
-                "kept_edges": result.graph.m,
-                "girth_achieved": girth_cell,
-                "girth_unbounded": unbounded,
-                "gap": result.gap,
-                "h_exact_num": result.h_exact.numerator if result.h_exact is not None else None,
-                "h_exact_den": result.h_exact.denominator if result.h_exact is not None else None,
-                "connected": result.connected,
-                "iterations_used": result.iterations_used,
-            },
-        )
+        _write_json(report_path, dict(zip(keys, values, strict=True)))
         outputs.append(report_path)
     return _finish(args, outputs)
 
@@ -249,7 +258,7 @@ def _cmd_probe(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "probe.csv"
-    header = [f.name for f in dataclasses.fields(search.ProbeRecord)]
+    header = _fields(search.ProbeRecord)
     rows = [
         [
             "unbounded" if name == "best_girth" and value == UNBOUNDED else value
@@ -275,41 +284,29 @@ def _cmd_balls(args) -> int:
     g = load_graph(args.graph)
     rows, summary = metrics.ball_expansion_profile(g, args.radius)
     out = Path(args.output)
-    csv_rows = [
-        ["ball", r.vertex, r.ball_size, r.gap, r.h_exact, None, None, None]
-        for r in rows
-    ]
+    # one row per ball, then one summary row; the radius is the command's own
+    row_fields = _fields(metrics.BallProfileRow)
+    summary_fields = [f for f in _fields(metrics.BallProfileSummary) if f != "radius"]
+    csv_rows = [["ball", *dataclasses.astuple(r), *[None] * len(summary_fields)] for r in rows]
     csv_rows.append(
-        ["summary", None, None, None, None, summary.min_gap, summary.median_gap, summary.min_h_exact]
+        ["summary", *[None] * len(row_fields), *(getattr(summary, f) for f in summary_fields)]
     )
-    _write_csv(
-        out,
-        ["kind", "vertex", "ball_size", "gap", "h_exact", "min_gap", "median_gap", "min_h_exact"],
-        csv_rows,
-    )
+    _write_csv(out, ["kind", *row_fields, *summary_fields], csv_rows)
     return _finish(args, [out])
 
 
 def _cmd_tower(args) -> int:
     rows = matgroups.girth_tower_report(args.p, args.levels, recipe=args.recipe)
     out = Path(args.output)
+    header = _fields(matgroups.TowerRow)
+    at = header.index("girth")
+    header.insert(at + 1, "girth_unbounded")
     csv_rows = []
     for r in rows:
-        girth_cell, unbounded = _girth_cells(r.girth)
-        csv_rows.append(
-            [
-                r.level, r.modulus, r.vertices, r.degree, girth_cell, unbounded,
-                r.gap, r.reached_order, r.full_group_order,
-            ]
-        )
-    _write_csv(
-        out,
-        [
-            "level", "modulus", "vertices", "degree", "girth", "girth_unbounded",
-            "gap", "reached_order", "full_group_order",
-        ],
-        csv_rows,
-    )
+        cells = list(dataclasses.astuple(r))
+        cells[at : at + 1] = _unbounded_cells(r.girth)
+        csv_rows.append(cells)
+    _write_csv(out, header, csv_rows)
     return _finish(args, [out])
 
 

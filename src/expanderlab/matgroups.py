@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import metrics
 from .errors import ComputationRefused
 from .graphcore import Graph, from_edges
 
@@ -223,6 +224,8 @@ def cayley_from_recipe(recipe: str, p: int, level: int = 1) -> CayleyResult:
     # with k sharing nearly all of q could have finished.
     if abs(p) ** min(level, 64) >= 2**64:
         raise ComputationRefused(f"modulus {p}^{level} refused: it must be below 2^64")
+    if p < 2:
+        raise ValueError(f"cayley p must be >= 2, got {p}")
     return cayley_graph(generators_from_recipe(recipe, p**level))
 
 
@@ -248,8 +251,6 @@ def girth_tower_report(p: int, n_max: int, recipe: str = "sanov") -> list[TowerR
     than left to callers. Where the degree grows (at p=2 the unit
     transvections are involutions, so level 1 has degree 2), girth may fall.
     """
-    from . import metrics
-
     if n_max < 1:
         raise ValueError(f"tower needs at least one level, got {n_max}")
     rows: list[TowerRow] = []

@@ -9,7 +9,7 @@ Conventions:
   - h minimizes |outer boundary(S)| / |S| over 0 < |S| < n/2, strictly below
     the midpoint (so for even n the half-size sets are excluded).
   - Girth is `math.inf` for forests; diameter is `math.inf` for disconnected
-    graphs. Both encode as JSON null plus a boolean flag.
+    graphs.
   - Exact subset enumerations refuse above n = 26: at n = 26 their
     4*2^n-byte tables already take 256 MiB (one uint32 table for h, two
     uint16 tables for conductance). The tables are built and read by numpy
@@ -475,24 +475,3 @@ def measure(g: Graph, exact_max: int = DEFAULT_EXACT_MAX) -> MetricsReport:
         diameter=diameter(g),
     )
 
-
-def report_to_json_dict(rep: MetricsReport) -> dict:
-    """Stable-key flat dict; girth/diameter sentinels become null + flag."""
-    girth_unbounded = rep.girth == UNBOUNDED
-    diameter_disconnected = rep.diameter == UNBOUNDED
-    return {
-        "n": rep.n,
-        "m": rep.m,
-        "max_degree": rep.max_degree,
-        "h_exact_num": rep.h_exact.numerator if rep.h_exact is not None else None,
-        "h_exact_den": rep.h_exact.denominator if rep.h_exact is not None else None,
-        "conductance_num": rep.conductance.numerator if rep.conductance is not None else None,
-        "conductance_den": rep.conductance.denominator if rep.conductance is not None else None,
-        "lambda2": rep.lambda2,
-        "rho_star": rep.rho_star,
-        "gap": rep.gap,
-        "girth": None if girth_unbounded else rep.girth,
-        "girth_unbounded": girth_unbounded,
-        "diameter": None if diameter_disconnected else rep.diameter,
-        "diameter_disconnected": diameter_disconnected,
-    }

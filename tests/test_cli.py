@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import pkgutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import expanderlab
 from expanderlab import builders, cli, graphcore, matgroups, metrics, search
 from expanderlab.builders import named_graph
 from expanderlab.graphcore import load_graph, save_graph, write_edge_list_text
@@ -63,6 +69,24 @@ class TestMeasure:
         rep = json.loads(out.read_text())
         assert rep["girth"] == 8 and rep["diameter"] == 4
         assert (rep["h_exact_num"], rep["h_exact_den"]) == (2, 3)
+        assert rep["girth_unbounded"] is False and rep["diameter_disconnected"] is False
+
+    def test_tree_girth_is_null_and_flagged(self, tmp_path):
+        from oracles import random_connected_graph
+
+        path, out = tmp_path / "tree.el", tmp_path / "tree.json"
+        save_graph(random_connected_graph(9, 3), path)
+        assert run(["measure", path, "-o", out]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["girth"] is None and rep["girth_unbounded"] is True
+
+    def test_disconnected_diameter_is_null_and_flagged(self, tmp_path):
+        path, out = tmp_path / "triangles.el", tmp_path / "triangles.json"
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        save_graph(graphcore.from_edges(6, triangles), path)
+        assert run(["measure", path, "-o", out]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["diameter"] is None and rep["diameter_disconnected"] is True
 
     def test_petersen(self, tmp_path, capsys):
         path = tmp_path / "p.el"
@@ -450,6 +474,14 @@ class TestExitCodes:
         assert "must be below 2^64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["cayley:p=-3,level=2", "cayley:p=1,level=3"])
+    def test_cayley_p_below_2_is_2(self, tmp_path, spec, capsys):
+        # p=-3, level=2 would otherwise build SL(2, Z/9Z)
+        out = tmp_path / "c.el"
+        assert run(["gen", spec, "-o", out]) == cli.EXIT_INPUT
+        assert "p must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -514,3 +546,14 @@ class TestExitCodes:
         code = run(["probe", "--family", "cycle:n=10", "--ratios", ratio,
                     "--out-dir", tmp_path / "probe"])
         assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(m.name for m in pkgutil.iter_modules(expanderlab.__path__) if m.name != "__main__"),
+)
+def test_module_imports_alone(module):
+    # one fresh interpreter per module, so that no earlier import hides a cycle
+    src = str(Path(expanderlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", f"import expanderlab.{module}"], env=env, check=True)
