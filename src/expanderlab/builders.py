@@ -141,8 +141,8 @@ _KEY_ORDER = {
     "complete": ["n"],
     "petersen": [],
     "cayley": ["recipe", "p", "level"],
-    "power": ["k"],
-    "product": [],
+    "power": ["k", "inner"],
+    "product": ["inner", "inner2"],
 }
 
 
@@ -195,7 +195,6 @@ def parse_family_spec(text: str) -> FamilySpec:
     if kind not in _KEY_ORDER:
         raise ValueError(f"unknown family kind {kind!r} in spec {text!r}")
     params: dict = {}
-    inner = inner2 = None
     for part in _split_top_level(rest) if rest else []:
         part = part.strip()
         if not part:
@@ -205,16 +204,14 @@ def parse_family_spec(text: str) -> FamilySpec:
         if not eq:
             raise ValueError(f"bad key=value pair {part!r} in spec {text!r}")
         val = val.strip()
+        if key not in _KEY_ORDER[kind]:
+            raise ValueError(f"unknown key {key!r} for family {kind!r}")
+        if key in params:
+            raise ValueError(f"repeated key {key!r} in spec {text!r}")
         if key in ("inner", "inner2"):
             if not (val.startswith("(") and val.endswith(")")):
                 raise ValueError(f"nested spec for {key} must be parenthesized: {part!r}")
-            sub = parse_family_spec(val[1:-1])
-            if key == "inner":
-                inner = sub
-            else:
-                inner2 = sub
-        elif key not in _KEY_ORDER[kind]:
-            raise ValueError(f"unknown key {key!r} for family {kind!r}")
+            params[key] = parse_family_spec(val[1:-1])
         elif key == "recipe":
             params[key] = val
         else:
@@ -222,6 +219,7 @@ def parse_family_spec(text: str) -> FamilySpec:
                 params[key] = int(val)
             except ValueError:
                 raise ValueError(f"bad integer for key {key!r}: {val!r}") from None
+    inner, inner2 = params.pop("inner", None), params.pop("inner2", None)
     return FamilySpec(kind=kind, params=params, inner=inner, inner2=inner2)
 
 

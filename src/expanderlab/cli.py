@@ -65,8 +65,6 @@ def _fmt(x) -> str:
 def _round9(obj):
     """Round every float in a JSON-ready structure to 9 significant digits."""
     if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return str(obj)
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}

@@ -277,8 +277,6 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf, ro
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches every vertex (single vertex counts)."""
-    if g.n == 1:
-        return True
     dist = bfs_distances(g.adj, 0)
     return UNREACHABLE not in dist
 

@@ -121,6 +121,11 @@ def cheeger_exact(g: Graph) -> Fraction:
     return Fraction(*best)
 
 
+def exact_h(g: Graph, limit: int) -> Optional[Fraction]:
+    """`cheeger_exact(g)` when 3 <= n <= limit, else None (too small or too big)."""
+    return cheeger_exact(g) if 3 <= g.n <= limit else None
+
+
 def conductance_exact(g: Graph) -> Fraction:
     """Exact conductance: min e(S, S̄)/vol(S) over S with 0 < vol(S) <= vol(G)/2.
 
@@ -414,9 +419,7 @@ def ball_expansion_profile(g: Graph, r: int) -> tuple[list[BallProfileRow], Ball
         gap_v: Optional[float] = None
         if ball.n >= 2:
             gap_v = spectrum(ball).gap  # induced balls are connected
-        h_v: Optional[Fraction] = None
-        if 3 <= ball.n <= BALL_EXACT_MAX:
-            h_v = cheeger_exact(ball)
+        h_v = exact_h(ball, BALL_EXACT_MAX)
         rows.append(BallProfileRow(vertex=v, ball_size=ball.n, gap=gap_v, h_exact=h_v))
     gaps = [row.gap for row in rows if row.gap is not None]
     hs = [row.h_exact for row in rows if row.h_exact is not None]
@@ -452,9 +455,7 @@ class MetricsReport:
 def measure(g: Graph, exact_max: int = DEFAULT_EXACT_MAX) -> MetricsReport:
     """Full MetricsReport; exact rationals only when n <= exact_max."""
     connected = is_connected(g)
-    h: Optional[Fraction] = None
-    if 3 <= g.n <= exact_max:
-        h = cheeger_exact(g)
+    h = exact_h(g, exact_max)
     cond: Optional[Fraction] = None
     if connected and 2 <= g.n <= exact_max and g.m > 0:
         cond = conductance_exact(g)

@@ -9,9 +9,11 @@ shipped and raced by the probe:
   percolate-repair  Bernoulli-percolate, reconnect, augment under the girth
                     floor, then trim residual short cycles
 
-Every step takes a spanning subgraph of the host as a `Graph` and returns
-one: it copies the adjacency into sorted, symmetric lists, mutates them and
-freezes them again. Pairs are validated against the host through
+`reconnect_repair` is the one step that joins components: augment requires a
+connected subgraph, and trim deletes only cycle edges, so it keeps one
+connected. Every step takes a spanning subgraph of the host as a `Graph` and
+returns one: it copies the adjacency into sorted, symmetric lists, mutates
+them and freezes them again. Pairs are validated against the host through
 `edge_subgraph` in two places only: percolate-repair's sample, where pairs
 enter, and the re-measure of every returned candidate (girth, gap,
 connectivity), which is also the check that it lies in the host — nothing is
@@ -47,8 +49,8 @@ from .graphcore import (
 from .metrics import (
     DEFAULT_EXACT_MAX,
     SpectrumResult,
-    cheeger_exact,
     diameter,
+    exact_h,
     girth,
     spectrum,
 )
@@ -129,8 +131,8 @@ def reconnect_repair(host: Graph, sub: Graph) -> Graph:
 
 
 def _far_candidates(host: Graph, sub: Graph, need: int) -> list[tuple]:
-    """(-dist_sub(u, v), u, v) for the host edges u < v not in `sub` and at
-    least `need` apart in it, with -inf for the pairs it cannot connect.
+    """(-dist_sub(u, v), u, v) for the host edges u < v not in the connected
+    `sub` and at least `need` apart in it.
 
     Runs `graphcore.reach_levels` over blocks of sources u, with each v's
     candidates as a bitmask of u's: the bits set by level need - 1 are too
@@ -141,13 +143,6 @@ def _far_candidates(host: Graph, sub: Graph, need: int) -> list[tuple]:
         if not sub.has_edge(u, v):
             cand[v] = cand.get(v, 0) | 1 << u
     out = []
-
-    def emit(neg, bits, lo, v):
-        while bits:
-            low = bits & -bits
-            out.append((neg, lo + low.bit_length() - 1, v))
-            bits ^= low
-
     for lo in range(0, host.n, graphcore.REACH_BLOCK):
         hi = min(lo + graphcore.REACH_BLOCK, host.n)
         block = (1 << (hi - lo)) - 1
@@ -159,36 +154,38 @@ def _far_candidates(host: Graph, sub: Graph, need: int) -> list[tuple]:
                 continue
             for v, bits in list(pending.items()):
                 new = reach[v] & bits
-                if new:
-                    if d >= need:
-                        emit(-d, new, lo, v)
-                    if new == bits:
-                        del pending[v]
-                    else:
-                        pending[v] = bits ^ new
-        for v, bits in pending.items():
-            # a bit set in the last level is a pair closer than need (the
-            # levels stopped before need - 1); the others are never joined
-            emit(-math.inf, bits & ~reach[v], lo, v)
+                if not new:
+                    continue
+                if new == bits:
+                    del pending[v]
+                else:
+                    pending[v] = bits ^ new
+                while new and d >= need:
+                    low = new & -new
+                    out.append((-d, lo + low.bit_length() - 1, v))
+                    new ^= low
     return out
 
 
 def augment_edges(host: Graph, sub: Graph, girth_floor: int, budget: int) -> Graph:
     """Greedily add host edges whose endpoints are far apart in `sub`.
 
-    `sub` is a spanning subgraph of `host`. A candidate {u,v} is added only
-    while dist_sub(u,v) >= girth_floor - 1, so every cycle it creates has
-    length >= girth_floor. Candidates are processed by decreasing current
-    distance (unreachable first, ties lexicographic), until the budget is
-    spent or none qualify. Distances only shrink as edges arrive, so a lazy
-    max-heap with re-validation is exact, and a pair already closer than the
-    floor is never queued. A popped pair is re-measured by a bidirectional
-    BFS capped at depth stored - 1: the current distance is at most the
-    stored one, so finding nothing within that depth means it still equals
-    the stored one, and the deepest layer is never expanded.
+    `sub` is a connected spanning subgraph of `host` (`reconnect_repair`
+    joins components). A candidate {u,v} is added only while
+    dist_sub(u,v) >= girth_floor - 1, so every cycle it creates has length
+    >= girth_floor. Candidates are processed by decreasing current distance
+    (ties lexicographic), until the budget is spent or none qualify.
+    Distances only shrink as edges arrive, so a lazy max-heap with
+    re-validation is exact, and a pair already closer than the floor is never
+    queued. A popped pair is re-measured by a bidirectional BFS capped at
+    depth stored - 1: the current distance is at most the stored one, so
+    finding nothing within that depth means it still equals the stored one,
+    and the deepest layer is never expanded.
     """
     if girth_floor < 3:
         raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
+    if not is_connected(sub):
+        raise ValueError("augment_edges requires a connected subgraph")
     adj = [list(a) for a in sub.adj]
     need = girth_floor - 1
     heap = _far_candidates(host, sub, need)
@@ -197,7 +194,7 @@ def augment_edges(host: Graph, sub: Graph, girth_floor: int, budget: int) -> Gra
     while heap and adds < budget:
         neg, u, v = heapq.heappop(heap)
         stored = -neg
-        d = pair_distance(adj, u, v, None if stored == math.inf else stored - 1)
+        d = pair_distance(adj, u, v, stored - 1)
         cur = stored if d == UNREACHABLE else d
         if cur < stored:
             if cur >= need:
@@ -275,14 +272,11 @@ def search_spanning_subexpander(
     connected = is_connected(sub)
     girth_achieved = girth(sub)
     gap = spectrum(sub).gap if connected and sub.n >= 2 else 0.0
-    h: Optional[Fraction] = None
-    if 3 <= sub.n <= DEFAULT_EXACT_MAX:
-        h = cheeger_exact(sub)
     return SearchResult(
         graph=sub,
         girth_achieved=girth_achieved,
         gap=gap,
-        h_exact=h,
+        h_exact=exact_h(sub, DEFAULT_EXACT_MAX),
         connected=connected,
         strategy=strategy,
         seed=seed,
@@ -382,8 +376,7 @@ def conjecture_probe(
         if not is_connected(g):
             raise ValueError(f"family instance {key!r} is not connected")
         spec_res = spectrum(g)
-        h = cheeger_exact(g) if 3 <= g.n <= DEFAULT_EXACT_MAX else None
-        hosts.append((spec, key, g, spec_res, diameter(g), h))
+        hosts.append((spec, key, g, spec_res, diameter(g), exact_h(g, DEFAULT_EXACT_MAX)))
 
     records: list[ProbeRecord] = []
     for i, (spec, key, g, spec_res, d_host, h_host) in enumerate(hosts):

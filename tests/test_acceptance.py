@@ -10,12 +10,7 @@ import time
 from fractions import Fraction
 
 from expanderlab import cli, metrics
-from expanderlab.builders import (
-    graph_power,
-    named_graph,
-    parse_family_spec,
-    random_regular,
-)
+from expanderlab.builders import named_graph, random_regular
 from expanderlab.graphcore import edge_subgraph, from_edges, is_connected, save_graph
 from expanderlab.matgroups import girth_tower_report
 from expanderlab.metrics import UNBOUNDED

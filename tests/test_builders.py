@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from expanderlab import graphcore, metrics
 from expanderlab.builders import (
-    BuildResult,
-    FamilySpec,
     base_family_id,
     build_family,
     canonical_spec_string,

@@ -5,16 +5,15 @@ import pkgutil
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import expanderlab
-from expanderlab import builders, cli, graphcore, matgroups, metrics, search
+from expanderlab import builders, cli, graphcore, matgroups, search
 from expanderlab.builders import named_graph
-from expanderlab.graphcore import load_graph, save_graph, write_edge_list_text
+from expanderlab.graphcore import load_graph, save_graph
 
 
 def run(argv):
@@ -483,6 +482,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            "random-regular:n=8,d=3,n=10,seed=1",
+            "cycle:n=5,inner=(petersen)",
+            "power:k=2,inner=(cycle:n=6),inner2=(petersen)",
+            "petersen:inner=(cycle:n=4)",
+            "power:k=2,inner=(cycle:n=6),inner=(cycle:n=7)",
+        ],
+    )
+    def test_repeated_or_stray_spec_key_is_2(self, tmp_path, spec):
+        # each was accepted, the last value or the known nested spec winning
+        out = tmp_path / "g.el"
+        assert run(["gen", spec, "-o", out]) == cli.EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["balls", "{graph}", "--radius", "1", "--exact-limit", "16", "-o", "{out}"],
@@ -557,3 +572,20 @@ def test_module_imports_alone(module):
     src = str(Path(expanderlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", f"import expanderlab.{module}"], env=env, check=True)
+
+
+def test_package_import_loads_no_submodule():
+    # the package holds only its version, so `import expanderlab.<m>` loads m alone
+    src = str(Path(expanderlab.__file__).resolve().parents[1])
+    code = (
+        "import sys, expanderlab\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('expanderlab.', 'numpy'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    assert out == "[]\n"

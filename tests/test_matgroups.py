@@ -3,7 +3,6 @@ import pytest
 from expanderlab import matgroups, metrics
 from expanderlab.errors import ComputationRefused
 from expanderlab.matgroups import (
-    CayleyResult,
     GeneratorSet,
     cayley_from_recipe,
     cayley_graph,

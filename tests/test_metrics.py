@@ -23,6 +23,7 @@ from expanderlab.metrics import (
     cheeger_exact,
     conductance_exact,
     diameter,
+    exact_h,
     girth,
     measure,
     spectrum,
@@ -97,6 +98,13 @@ class TestCheegerExact:
         for seed in range(10):
             g = random_connected_graph(9, 500 + seed, extra_edges=3)
             assert cheeger_exact(g) > 0
+
+    def test_exact_h_size_rule(self):
+        # h only for 3 <= n <= limit, both ends included
+        assert exact_h(from_edges(2, [(0, 1)]), 10) is None
+        assert exact_h(cycle(3), 10) == cheeger_exact(cycle(3)) == 2
+        assert exact_h(cycle(8), 8) == cheeger_exact(cycle(8))
+        assert exact_h(cycle(9), 8) is None
 
 
 class TestConductanceExact:

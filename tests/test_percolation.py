@@ -19,7 +19,6 @@ from expanderlab.graphcore import (
 from expanderlab.metrics import spectrum
 from expanderlab.percolation import (
     _PHASE_SWEEP,
-    ComponentSummary,
     PercolationSample,
     _edge_uniforms,
     component_summary,

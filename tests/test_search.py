@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import builders, graphcore, metrics
-from expanderlab.builders import (
-    graph_power,
-    named_graph,
-    parse_family_spec,
-    random_regular,
-)
+from expanderlab import builders, graphcore
+from expanderlab.builders import named_graph, parse_family_spec, random_regular
 from expanderlab.graphcore import edge_subgraph, from_edges, is_connected, shortest_cycle_scan
 from expanderlab.metrics import UNBOUNDED, girth, spectrum
 from expanderlab.percolation import percolate
 from expanderlab.search import (
-    SearchResult,
     _far_candidates,
     augment_edges,
     conjecture_probe,
@@ -177,8 +171,9 @@ class TestAugment:
 
     def test_budget_respected(self):
         host = named_graph("complete", 6)
-        out = augment_edges(host, edge_subgraph(host, set()), 3, budget=2)
-        assert out.m == 2
+        path = spanning_path(6)
+        out = augment_edges(host, path, 3, budget=2)
+        assert out.m == path.m + 2
 
     def test_never_creates_short_cycle(self):
         # debug mode: replay one insertion at a time, recomputing girth after
@@ -192,7 +187,8 @@ class TestAugment:
                 continue
             trials += 1
             floor = 4 + seed % 4
-            sub = set(percolate(host, 0.3, seed).retained)
+            sample = edge_subgraph(host, percolate(host, 0.3, seed).retained)
+            sub = reconnect_repair(host, sample).edge_set()
             final = augment_edges(host, edge_subgraph(host, sub), floor, budget=100).edge_set()
             added = final - sub
             current = set(sub)
@@ -210,19 +206,27 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment_edges(cycle(5), edge_subgraph(cycle(5), set()), 2, 1)
 
+    def test_disconnected_sub_rejected(self):
+        # joining components is reconnect_repair's job
+        host = cycle(6)
+        sub = edge_subgraph(host, {(0, 1), (1, 2), (3, 4), (4, 5)})
+        with pytest.raises(ValueError, match="connected"):
+            augment_edges(host, sub, 3, 10)
+
 
 @st.composite
 def _host_and_subset(draw):
-    """A random connected host and a percolated subset of its edges.
+    """A random connected host and a connected spanning subset of its edges:
+    a percolated sample joined by `reconnect_repair`.
 
-    At p = 0 or 0.2 the subset is usually disconnected, so some candidate
-    pairs start out unreachable.
+    At p = 0 the subset is the lexicographic spanning tree.
     """
     seed = draw(st.integers(0, 2**31 - 1))
     host = random_connected_graph(
         draw(st.integers(6, 26)), seed, extra_edges=draw(st.integers(0, 40))
     )
-    return host, percolate(host, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), seed).retained
+    sample = percolate(host, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), seed).retained
+    return host, reconnect_repair(host, edge_subgraph(host, sample)).edge_set()
 
 
 class TestAgainstReferences:
