@@ -492,7 +492,7 @@ class TestExitCodes:
         ],
     )
     def test_repeated_or_stray_spec_key_is_2(self, tmp_path, spec):
-        # each was accepted, the last value or the known nested spec winning
+        # refused, not overwritten by the last value or dropped
         out = tmp_path / "g.el"
         assert run(["gen", spec, "-o", out]) == cli.EXIT_INPUT
         assert not out.exists()
