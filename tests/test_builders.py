@@ -16,6 +16,7 @@ from expanderlab.builders import (
     named_graph,
     parse_family_spec,
     random_regular,
+    with_defaults,
 )
 from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import (
@@ -210,6 +211,34 @@ class TestFamilySpec:
             spec = parse_family_spec(text)
             canon = canonical_spec_string(spec)
             assert canonical_spec_string(parse_family_spec(canon)) == canon
+
+    @pytest.mark.parametrize(
+        "text, canon, filled",
+        [
+            (
+                "product:inner=(cayley:p=5),inner2=(random-regular:n=8,d=3)",
+                "product:inner=(cayley:p=5),inner2=(random-regular:n=8,d=3)",
+                "product:inner=(cayley:recipe=elementary,p=5,level=1),"
+                "inner2=(random-regular:n=8,d=3,seed=0)",
+            ),
+            (
+                "power:inner=(power:inner=(random-regular:d=3,n=10),k=3),k=2",
+                "power:k=2,inner=(power:k=3,inner=(random-regular:n=10,d=3))",
+                "power:k=2,inner=(power:k=3,inner=(random-regular:n=10,d=3,seed=0))",
+            ),
+            (
+                "random-regular:seed=1,d=4,n=64",
+                "random-regular:n=64,d=4,seed=1",
+                "random-regular:n=64,d=4,seed=1",
+            ),
+            ("petersen", "petersen", "petersen"),
+        ],
+    )
+    def test_canonical_strings_pinned(self, text, canon, filled):
+        # key order, nesting and filled defaults, byte for byte
+        spec = parse_family_spec(text)
+        assert canonical_spec_string(spec) == canon
+        assert canonical_spec_string(with_defaults(spec)) == filled
 
     def test_aliases(self):
         # the power-of/product-of spellings are retired: each is an unknown kind
