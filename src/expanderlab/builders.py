@@ -5,7 +5,8 @@ model with whole-sample rejection), reference graphs (cycles, complete graphs,
 Petersen), graph powers, and Cartesian products. Cayley families are built in
 `matgroups`; this module only dispatches to them.
 
-FamilySpec strings drive the CLI and the conjecture probe, e.g.
+FamilySpec strings drive the CLI and the conjecture probe. A nested spec,
+such as `inner` below, is an ordinary param whose value is a FamilySpec:
 
     random-regular:n=1024,d=4,seed=7
     power:k=2,inner=(cayley:recipe=elementary,p=5)
@@ -134,7 +135,8 @@ def named_graph(kind: str, n: Optional[int] = None) -> Graph:
 # --- FamilySpec ---------------------------------------------------------
 
 # canonical key order per kind, for byte-stable round-trips; also the known
-# kinds and the set of keys each kind accepts
+# kinds and the keys each accepts (`inner`/`inner2` take nested specs). A key
+# with no `_DEFAULTS` entry is required; `parse_family_spec` refuses its absence
 _KEY_ORDER = {
     "random-regular": ["n", "d", "seed"],
     "cycle": ["n"],
@@ -156,12 +158,10 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parsed family descriptor; `inner`/`inner2` hold nested specs."""
+    """Parsed family descriptor; `params["inner"]`/`params["inner2"]` are nested specs."""
 
     kind: str
     params: dict = field(default_factory=dict)
-    inner: Optional["FamilySpec"] = None
-    inner2: Optional["FamilySpec"] = None
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -219,8 +219,10 @@ def parse_family_spec(text: str) -> FamilySpec:
                 params[key] = int(val)
             except ValueError:
                 raise ValueError(f"bad integer for key {key!r}: {val!r}") from None
-    inner, inner2 = params.pop("inner", None), params.pop("inner2", None)
-    return FamilySpec(kind=kind, params=params, inner=inner, inner2=inner2)
+    for key in _KEY_ORDER[kind]:
+        if key not in params and key not in _DEFAULTS.get(kind, {}):
+            raise ValueError(f"family spec {kind!r} missing required key {key!r}")
+    return FamilySpec(kind=kind, params=params)
 
 
 def canonical_spec_string(spec: FamilySpec) -> str:
@@ -228,11 +230,9 @@ def canonical_spec_string(spec: FamilySpec) -> str:
     parts = []
     for key in _KEY_ORDER[spec.kind]:
         if key in spec.params:
-            parts.append(f"{key}={spec.params[key]}")
-    if spec.inner is not None:
-        parts.append(f"inner=({canonical_spec_string(spec.inner)})")
-    if spec.inner2 is not None:
-        parts.append(f"inner2=({canonical_spec_string(spec.inner2)})")
+            val = spec.params[key]
+            nested = isinstance(val, FamilySpec)
+            parts.append(f"{key}=({canonical_spec_string(val)})" if nested else f"{key}={val}")
     return spec.kind + (":" + ",".join(parts) if parts else "")
 
 
@@ -242,12 +242,9 @@ def with_defaults(spec: FamilySpec) -> FamilySpec:
     Two specs that build the same family have the same canonical string
     once filled, whichever defaults each spelled out.
     """
-    return FamilySpec(
-        kind=spec.kind,
-        params={**_DEFAULTS.get(spec.kind, {}), **spec.params},
-        inner=None if spec.inner is None else with_defaults(spec.inner),
-        inner2=None if spec.inner2 is None else with_defaults(spec.inner2),
-    )
+    params = {**_DEFAULTS.get(spec.kind, {}), **spec.params}
+    nested = {k: with_defaults(v) for k, v in params.items() if isinstance(v, FamilySpec)}
+    return FamilySpec(kind=spec.kind, params={**params, **nested})
 
 
 def base_family_id(spec: FamilySpec) -> str:
@@ -256,8 +253,8 @@ def base_family_id(spec: FamilySpec) -> str:
     A family and its graph powers share one id, so G-vs-G^2 comparison rows
     can be grouped.
     """
-    while spec.kind == "power" and spec.inner is not None:
-        spec = spec.inner
+    while spec.kind == "power":
+        spec = spec.params["inner"]
     return canonical_spec_string(spec)
 
 
@@ -271,34 +268,20 @@ def build_family(spec: FamilySpec) -> BuildResult:
     """Construct the graph a FamilySpec describes."""
     kind, p = spec.kind, {**_DEFAULTS.get(spec.kind, {}), **spec.params}
     if kind == "random-regular":
-        _require(p, "n", "d", spec)
         graphcore.check_size(p["n"], p["n"] * p["d"] // 2)
         return BuildResult(random_regular(p["n"], p["d"], p["seed"]))
     if kind in ("cycle", "complete"):
-        _require(p, "n", None, spec)
         graphcore.check_size(p["n"], p["n"] if kind == "cycle" else p["n"] * (p["n"] - 1) // 2)
         return BuildResult(named_graph(kind, p["n"]))
     if kind == "petersen":
         return BuildResult(named_graph("petersen"))
     if kind == "cayley":
-        _require(p, "p", None, spec)
         result = matgroups.cayley_from_recipe(p["recipe"], p["p"], p["level"])
         return BuildResult(result.graph, labels=result.labels)
     if kind == "power":
-        if spec.inner is None:
-            raise ValueError(f"power spec needs inner=(...): {spec}")
-        _require(p, "k", None, spec)
-        return BuildResult(graph_power(build_family(spec.inner).graph, p["k"]))
+        return BuildResult(graph_power(build_family(p["inner"]).graph, p["k"]))
     if kind == "product":
-        if spec.inner is None or spec.inner2 is None:
-            raise ValueError(f"product spec needs inner=(...) and inner2=(...): {spec}")
-        g = build_family(spec.inner).graph
-        h = build_family(spec.inner2).graph
+        g = build_family(p["inner"]).graph
+        h = build_family(p["inner2"]).graph
         return BuildResult(cartesian_product(g, h))
     raise ValueError(f"unknown family kind {kind!r}")
-
-
-def _require(params: dict, key1: str, key2: Optional[str], spec: FamilySpec) -> None:
-    for key in (key1, key2):
-        if key is not None and key not in params:
-            raise ValueError(f"family spec {spec.kind!r} missing required key {key!r}")

@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     budget_help = "cap on percolate-repair's augment additions; trim ignores it"
 
-    p = sub.add_parser("gen", parents=[], help="build a graph from a family spec")
+    p = sub.add_parser("gen", help="build a graph from a family spec")
     p.add_argument("spec", help="family spec, e.g. random-regular:n=64,d=4,seed=1")
     p.add_argument("-o", "--output", required=True, help="edge-list output path")
     p.set_defaults(func=_cmd_gen)

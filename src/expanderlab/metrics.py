@@ -457,7 +457,7 @@ def measure(g: Graph, exact_max: int = DEFAULT_EXACT_MAX) -> MetricsReport:
     connected = is_connected(g)
     h = exact_h(g, exact_max)
     cond: Optional[Fraction] = None
-    if connected and 2 <= g.n <= exact_max and g.m > 0:
+    if connected and 2 <= g.n <= exact_max:
         cond = conductance_exact(g)
     lam2 = rho = gap = None
     if connected and g.n >= 2:

@@ -364,8 +364,8 @@ def conjecture_probe(
     first: dict[str, str] = {}  # fingerprint -> the instance that built it, for repeats
     for spec in specs:
         key = canonical_spec_string(spec)
-        reusable = spec.kind == "power" and spec.inner is not None and "k" in spec.params
-        inner = built.get(canonical_spec_string(with_defaults(spec.inner))) if reusable else None
+        reuse = with_defaults(spec.params["inner"]) if spec.kind == "power" else None
+        inner = None if reuse is None else built.get(canonical_spec_string(reuse))
         g = build_family(spec).graph if inner is None else graph_power(inner, spec.params["k"])
         if g.fingerprint in first:
             raise ValueError(

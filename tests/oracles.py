@@ -348,14 +348,15 @@ def augment_edges_reference(
     for u, v in kept:
         adj[u].append(v)
         adj[v].append(u)
+    if UNREACHABLE in bfs_distances(adj, 0):
+        raise ValueError("augment_edges_reference requires a connected subgraph")
     candidates = [e for e in host.edges() if e not in kept]
     by_source: dict[int, list[int]] = {}
     for u, v in candidates:
         by_source.setdefault(u, []).append(v)
 
-    def sub_dist(u: int, v: int) -> float:
-        d = bfs_distances(adj, u, target=v)[v]
-        return d if d >= 0 else math.inf
+    def sub_dist(u: int, v: int) -> int:
+        return bfs_distances(adj, u, target=v)[v]
 
     heap = []
     for u in sorted(by_source):

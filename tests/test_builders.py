@@ -193,13 +193,14 @@ class TestFamilySpec:
 
     def test_parse_nested(self):
         spec = parse_family_spec("power:k=2,inner=(cayley:recipe=elementary,p=5)")
-        assert spec.kind == "power" and spec.params == {"k": 2}
-        assert spec.inner.kind == "cayley"
-        assert spec.inner.params == {"recipe": "elementary", "p": 5}
+        assert spec.kind == "power" and spec.params["k"] == 2
+        assert spec.params["inner"].kind == "cayley"
+        assert spec.params["inner"].params == {"recipe": "elementary", "p": 5}
 
     def test_parse_product(self):
         spec = parse_family_spec("product:inner=(cycle:n=3),inner2=(cycle:n=4)")
-        assert spec.inner.params["n"] == 3 and spec.inner2.params["n"] == 4
+        assert spec.params["inner"].params["n"] == 3
+        assert spec.params["inner2"].params["n"] == 4
 
     def test_canonical_round_trip(self):
         for text in (

@@ -498,6 +498,37 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "spec, kind, key",
+        [
+            ("power:k=2", "power", "inner"),
+            ("product:inner=(cycle:n=3)", "product", "inner2"),
+            ("power:k=2,inner=(random-regular:n=8)", "random-regular", "d"),
+        ],
+    )
+    def test_missing_required_key_refused_before_building(
+        self, tmp_path, capsys, monkeypatch, spec, kind, key
+    ):
+        # refused where the spec is parsed: probe builds no earlier host either
+        def unreachable(*args):
+            raise AssertionError("builder ran for a spec missing a required key")
+
+        for module, name in (
+            (builders, "random_regular"), (builders, "named_graph"), (builders, "graph_power"),
+            (builders, "cartesian_product"), (search, "graph_power"),
+            (matgroups, "cayley_from_recipe"),
+        ):
+            monkeypatch.setattr(module, name, unreachable)
+        out, out_dir = tmp_path / "g.el", tmp_path / "probe"
+        for argv in (
+            ["gen", spec, "-o", out],
+            ["probe", "--family", "cycle:n=10", "--family", spec, "--ratios", "0.5",
+             "--out-dir", out_dir],
+        ):
+            assert run(argv) == cli.EXIT_INPUT
+            assert f"family spec {kind!r} missing required key {key!r}" in capsys.readouterr().err
+        assert not out.exists() and not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["balls", "{graph}", "--radius", "1", "--exact-limit", "16", "-o", "{out}"],

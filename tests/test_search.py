@@ -212,6 +212,8 @@ class TestAugment:
         sub = edge_subgraph(host, {(0, 1), (1, 2), (3, 4), (4, 5)})
         with pytest.raises(ValueError, match="connected"):
             augment_edges(host, sub, 3, 10)
+        with pytest.raises(ValueError, match="connected"):
+            augment_edges_reference(host, sub.edges(), 3, 10)
 
 
 @st.composite
@@ -259,15 +261,17 @@ class TestAgainstReferences:
         for u, v in kept:
             adj[u].append(v)
             adj[v].append(u)
+        assert min(bfs_distances(adj, 0)) >= 0  # the fixture's subset is connected
         expected = []
         for u, v in host.edges():
             d = bfs_distances(adj, u)[v]
-            if (u, v) not in kept and (d < 0 or d >= need):
-                expected.append((-math.inf if d < 0 else -d, u, v))
+            if (u, v) not in kept and d >= need:
+                expected.append((-d, u, v))
         with mock.patch.object(graphcore, "REACH_BLOCK", block):
             assert sorted(_far_candidates(host, edge_subgraph(host, kept), need)) == sorted(
                 expected
             )
+
 
 class TestSearch:
     def test_petersen_absolute_target5(self):
