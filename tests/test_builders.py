@@ -258,7 +258,7 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="unbalanced"):
             parse_family_spec("power:k=2,inner=(cycle:n=5")
         with pytest.raises(ValueError, match="missing required key"):
-            build_family(parse_family_spec("random-regular:n=10"))
+            parse_family_spec("random-regular:n=10")
 
     def test_base_family_id_strips_powers(self):
         base = parse_family_spec("random-regular:n=64,d=4,seed=1")
