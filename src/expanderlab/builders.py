@@ -16,6 +16,7 @@ such as `inner` below, is an ordinary param whose value is a FamilySpec:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +35,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     Draws a uniform perfect matching on the n*d half-edge stubs and rejects
     the whole sample on any self-loop or duplicate edge, so accepted graphs
     are exactly uniform over simple d-regular graphs. Deterministic in seed.
+    A sample is simple with probability about exp(-(d^2 - 1)/4), so a request
+    expecting more than _REGULAR_RETRY_CAP samples (every d >= 7) is refused
+    before the first one is drawn.
     """
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
@@ -41,6 +45,12 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
         raise ValueError(f"need d < n, got n={n}, d={d}")
+    log_expected = (d * d - 1) / 4
+    if log_expected > math.log(_REGULAR_RETRY_CAP):
+        raise ComputationRefused(
+            f"configuration model expects about 10^{log_expected / math.log(10):.1f} samples"
+            f" for n={n}, d={d}, over the cap of {_REGULAR_RETRY_CAP}"
+        )
     stream = Stream(split(seed, _PHASE_MATCHING))
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(_REGULAR_RETRY_CAP):

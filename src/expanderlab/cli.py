@@ -31,7 +31,7 @@ import numpy
 
 from . import __version__, builders, matgroups, metrics, percolation, search
 from .errors import ComputationRefused
-from .graphcore import edge_subgraph, load_graph, save_graph
+from .graphcore import load_graph, save_graph
 from .metrics import UNBOUNDED
 
 EXIT_USAGE = 1
@@ -173,9 +173,9 @@ def _cmd_measure(args) -> int:
 def _cmd_percolate(args) -> int:
     g = load_graph(args.graph)
     sample = percolation.percolate(g, args.p, args.seed)
-    summary = percolation.component_summary(g, sample)
+    summary = percolation.component_summary(sample)
     header = ["p", "seed", "retained_edges", "components", "giant_fraction"]
-    row = [args.p, args.seed, len(sample.retained), summary.count, summary.giant_fraction]
+    row = [args.p, args.seed, sample.m, summary.count, summary.giant_fraction]
     if args.check_condition:
         check = percolation.condition_check(g, args.p)
         header += ["condition_value", "condition_ok"]
@@ -185,7 +185,7 @@ def _cmd_percolate(args) -> int:
     outputs = [out]
     if args.keep_out:
         keep_path = Path(args.keep_out)
-        save_graph(edge_subgraph(g, sample.retained), keep_path)
+        save_graph(sample, keep_path)
         outputs.append(keep_path)
     return _finish(args, outputs)
 
@@ -209,8 +209,6 @@ def _cmd_trim(args) -> int:
 
 def _cmd_search(args) -> int:
     g = load_graph(args.graph)
-    if (args.ratio is None) == (args.girth is None):
-        raise ValueError("give exactly one of --ratio and --girth")
     result = search.search_spanning_subexpander(
         g,
         ratio=args.ratio,

@@ -215,7 +215,7 @@ def reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[lis
         pending = [v for v in pending if reach[v] != full]
 
 
-def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf, roots=None):
+def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=math.inf, roots=None):
     """(length, cycle) of a shortest cycle shorter than `below`, or None.
 
     BFS from each vertex of `roots` (default: all) with earliest cross/back-
@@ -229,6 +229,7 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], n: int, below=math.inf, ro
     closed walk rather than a simple cycle: a triangle with a three-edge tail,
     scanned from the tail's end, gives a walk of 9 down the tail and back.
     """
+    n = len(adj)
     best = below
     cycle = None
     # explore while the current depth <= depth_limit
@@ -281,11 +282,8 @@ def is_connected(g: Graph) -> bool:
     return UNREACHABLE not in dist
 
 
-def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on `members`, relabeled 0..k-1 in ascending old order.
-
-    Returns the subgraph and the old->new index map.
-    """
+def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
+    """Induced subgraph on `members`, relabeled 0..k-1 in ascending old order."""
     old = sorted(set(members))
     if not old:
         raise ValueError("empty vertex subset")
@@ -298,10 +296,10 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int,
         for v in g.adj[u]:
             if u < v and v in remap:
                 edges.append((remap[u], remap[v]))
-    return from_edges(len(old), edges), remap
+    return from_edges(len(old), edges)
 
 
-def induced_ball(g: Graph, center: int, r: int) -> tuple[Graph, dict[int, int]]:
+def induced_ball(g: Graph, center: int, r: int) -> Graph:
     """Induced subgraph on all vertices within distance r of `center`."""
     if not 0 <= center < g.n:
         raise ValueError(f"center {center} out of range for n={g.n}")

@@ -364,7 +364,7 @@ def girth(g: Graph, vertex_transitive: bool = False):
     shortest cycle finds that cycle's length, and on a vertex-transitive graph
     every vertex lies on one; on other graphs the result may be too large.
     """
-    found = shortest_cycle_scan(g.adj, g.n, roots=(0,) if vertex_transitive else None)
+    found = shortest_cycle_scan(g.adj, roots=(0,) if vertex_transitive else None)
     return UNBOUNDED if found is None else found[0]
 
 
@@ -415,7 +415,7 @@ def ball_expansion_profile(g: Graph, r: int) -> tuple[list[BallProfileRow], Ball
         raise ValueError(f"radius must be >= 1, got {r}")
     rows = []
     for v in range(g.n):
-        ball, _ = induced_ball(g, v, r)
+        ball = induced_ball(g, v, r)
         gap_v: Optional[float] = None
         if ball.n >= 2:
             gap_v = spectrum(ball).gap  # induced balls are connected

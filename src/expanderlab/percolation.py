@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphcore import Graph, graph_fingerprint
+from .graphcore import Graph, from_edges
 from .metrics import spectrum
 from .rng import Stream, split
 
@@ -52,14 +52,6 @@ class DisjointSet:
 
 
 @dataclass(frozen=True)
-class PercolationSample:
-    p: float
-    seed: int
-    retained: frozenset[tuple[int, int]]
-    host_ref: str  # fingerprint of the host graph
-
-
-@dataclass(frozen=True)
 class ComponentSummary:
     count: int
     sizes: tuple[int, ...]  # descending
@@ -77,19 +69,16 @@ def _edge_uniforms(g: Graph, seed: int) -> list[float]:
     return [stream.uniform() for _ in range(g.m)]
 
 
-def percolate(g: Graph, p: float, seed: int) -> PercolationSample:
-    """Retain each edge independently with probability p (threshold coupling)."""
+def percolate(g: Graph, p: float, seed: int) -> Graph:
+    """Spanning subgraph keeping each edge independently with probability p (threshold coupling)."""
     _check_p(p)
-    retained = frozenset(e for e, x in zip(g.edges(), _edge_uniforms(g, seed)) if x < p)
-    return PercolationSample(p=p, seed=seed, retained=retained, host_ref=graph_fingerprint(g))
+    return from_edges(g.n, [e for e, x in zip(g.edges(), _edge_uniforms(g, seed)) if x < p])
 
 
-def component_summary(g: Graph, sample: PercolationSample) -> ComponentSummary:
-    """Connected components of the retained subgraph (exact, union-find)."""
-    if sample.host_ref != graph_fingerprint(g):
-        raise ValueError("sample does not belong to this host graph")
+def component_summary(g: Graph) -> ComponentSummary:
+    """Connected components of `g` (exact, union-find)."""
     ds = DisjointSet(g.n)
-    for u, v in sample.retained:
+    for u, v in g.edges():
         ds.union(u, v)
     sizes = sorted((ds.size[v] for v in range(g.n) if ds.find(v) == v), reverse=True)
     return ComponentSummary(

@@ -13,11 +13,12 @@ shipped and raced by the probe:
 connected subgraph, and trim deletes only cycle edges, so it keeps one
 connected. Every step takes a spanning subgraph of the host as a `Graph` and
 returns one: it copies the adjacency into sorted, symmetric lists, mutates
-them and freezes them again. Pairs are validated against the host through
-`edge_subgraph` in two places only: percolate-repair's sample, where pairs
-enter, and the re-measure of every returned candidate (girth, gap,
+them and freezes them again. percolate-repair's sample is built from host
+edges, so pairs are validated against the host through `edge_subgraph` in
+one place only: the re-measure of every returned candidate (girth, gap,
 connectivity), which is also the check that it lies in the host — nothing is
-trusted from the search loop's bookkeeping.
+trusted from the search loop's bookkeeping. percolate-repair percolates at
+p = min(1, 1/(rho_star * d)), the edge of the paper's window rho_star * d * p < 1.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ STRATEGIES = ("trim", "percolate-repair")
 _PHASE_PERC = 0x41
 _PHASE_PROBE = 0x51
 
-_PERCOLATE_P_LO = 0.05  # percolate-repair clamps p = 1/(rho_star*d) to [lo, hi]
-_PERCOLATE_P_HI = 0.95
-
 
 # --- shortest-cycle machinery -------------------------------------------
 
@@ -83,7 +81,7 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
     n = g.n
     adj = [list(a) for a in g.adj]
     while True:
-        found = shortest_cycle_scan(adj, n, below=target)
+        found = shortest_cycle_scan(adj, below=target)
         if found is None:
             break
         length, cycle = found
@@ -238,9 +236,12 @@ def search_spanning_subexpander(
 ) -> SearchResult:
     """Run one strategy and return its re-validated best spanning candidate.
 
-    The girth target is ceil(ratio * diameter(host)) unless an absolute
-    `girth_target` is given. Deterministic in (host, parameters, seed).
+    Exactly one of `ratio` and `girth_target` is given: the target is
+    ceil(ratio * diameter(host)) or that absolute girth. Deterministic in
+    (host, parameters, seed).
     """
+    if (ratio is None) == (girth_target is None):
+        raise ValueError("give exactly one of ratio and girth_target")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if budget <= 0:
@@ -248,8 +249,6 @@ def search_spanning_subexpander(
     if not is_connected(host):
         raise ValueError("search requires a connected host")
     if girth_target is None:
-        if ratio is None:
-            raise ValueError("need a ratio or an absolute girth_target")
         _check_ratio(ratio)
         girth_target = math.ceil(ratio * diameter(host))
     target_eff = max(girth_target, 3)  # girth >= 3 holds vacuously for any target below
@@ -259,11 +258,9 @@ def search_spanning_subexpander(
         iterations = host.m - out.m
     else:  # percolate-repair
         spec = host_spectrum if host_spectrum is not None else spectrum(host)
-        denom = spec.rho_star * host.max_degree
-        p = 1.0 / denom if denom > 0 else _PERCOLATE_P_HI
-        p = min(max(p, _PERCOLATE_P_LO), _PERCOLATE_P_HI)
-        sample = percolate(host, p, split(seed, _PHASE_PERC))
-        repaired = reconnect_repair(host, edge_subgraph(host, sample.retained))
+        # rho_star > 0: the walk operator has trace 0, so it is not all zeros
+        p = min(1.0, 1.0 / (spec.rho_star * host.max_degree))
+        repaired = reconnect_repair(host, percolate(host, p, split(seed, _PHASE_PERC)))
         augmented = augment_edges(host, repaired, target_eff, budget)
         out = trim_to_girth(augmented, target_eff)
         iterations = 2 * augmented.m - repaired.m - out.m

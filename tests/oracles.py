@@ -399,7 +399,7 @@ def percolation_sweep_reference(
         fractions = []
         for i in range(seeds_per_point):
             sample = percolate(g, p, split(base_seed, _PHASE_SWEEP, i))
-            fractions.append(component_summary(g, sample).giant_fraction)
+            fractions.append(component_summary(sample).giant_fraction)
         mean = sum(fractions) / len(fractions)
         var = sum((x - mean) ** 2 for x in fractions) / len(fractions)
         value = rho_d * p

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from expanderlab import cli, metrics
 from expanderlab.builders import named_graph, random_regular
-from expanderlab.graphcore import edge_subgraph, from_edges, is_connected, save_graph
+from expanderlab.graphcore import from_edges, is_connected, save_graph
 from expanderlab.matgroups import girth_tower_report
 from expanderlab.metrics import UNBOUNDED
 from expanderlab.percolation import condition_check, percolate
@@ -128,19 +128,19 @@ def test_criterion_06_percolation_calibration():
     counts = dict.fromkeys(edges, 0)
     n_samples = 10_000
     for i in range(n_samples):
-        for e in percolate(host, 0.3, i).retained:
+        for e in percolate(host, 0.3, i).edges():
             counts[e] += 1
     band = 4 * math.sqrt(0.3 * 0.7 / n_samples)
     worst = max(abs(c / n_samples - 0.3) for c in counts.values())
     ok = worst <= band
 
     for seed in range(50):
-        lo = percolate(host, 0.25, seed).retained
-        mid = percolate(host, 0.5, seed).retained
-        hi = percolate(host, 0.9, seed).retained
+        lo = percolate(host, 0.25, seed).edge_set()
+        mid = percolate(host, 0.5, seed).edge_set()
+        hi = percolate(host, 0.9, seed).edge_set()
         ok = ok and lo <= mid <= hi
-    ok = ok and percolate(host, 0.0, 3).retained == frozenset()
-    ok = ok and percolate(host, 1.0, 3).retained == host.edge_set()
+    ok = ok and percolate(host, 0.0, 3).edge_set() == frozenset()
+    ok = ok and percolate(host, 1.0, 3) == host
 
     k4 = condition_check(named_graph("complete", 4), 0.9)
     c4 = condition_check(named_graph("cycle", 4), 0.6)
@@ -168,9 +168,9 @@ def test_criterion_07_trimming_contract():
                 violations += 1
     repair_violations = 0
     for i, h in enumerate(hosts):
-        sub = percolate(h, 0.5, i).retained
-        before = metrics.girth(edge_subgraph(h, sub))
-        after = metrics.girth(reconnect_repair(h, edge_subgraph(h, sub)))
+        sub = percolate(h, 0.5, i)
+        before = metrics.girth(sub)
+        after = metrics.girth(reconnect_repair(h, sub))
         if before != after:
             repair_violations += 1
     elapsed = time.time() - t0

@@ -202,27 +202,32 @@ class TestTrimSearch:
         assert sub.n == 4
 
     @pytest.mark.parametrize(
-        "strategy, validations", [("trim", 1), ("percolate-repair", 2)]
+        "strategy, validations", [("trim", 1), ("percolate-repair", 1)]
     )
     def test_search_validates_pairs_once_per_entry(self, tmp_path, strategy, validations):
-        # percolate-repair's sample and the re-measure; the steps pass one Graph between them
+        # the re-measure only: the sample is built from host edges, and the
+        # steps pass one Graph between them
         path = tmp_path / "rr.el"
         save_graph(builders.random_regular(20, 4, seed=3), path)
         argv = ["search", path, "--girth", 5, "--strategy", strategy, "--budget", 50,
                 "-o", tmp_path / "s.el"]
-        with (
-            mock.patch.object(search, "edge_subgraph", wraps=search.edge_subgraph) as in_search,
-            mock.patch.object(cli, "edge_subgraph", wraps=cli.edge_subgraph) as in_cli,
-        ):
+        with mock.patch.object(search, "edge_subgraph", wraps=search.edge_subgraph) as validate:
             assert run(argv) == 0
-        assert in_search.call_count == validations
-        assert in_cli.call_count == 0
+        assert validate.call_count == validations
 
     def test_search_requires_one_target(self, tmp_path):
         path = tmp_path / "c6.el"
         save_graph(named_graph("cycle", 6), path)
         code = run(["search", path, "-o", tmp_path / "x.el"])
         assert code == cli.EXIT_INPUT
+
+    def test_search_refuses_two_targets(self, tmp_path, capsys):
+        path = tmp_path / "c6.el"
+        save_graph(named_graph("cycle", 6), path)
+        code = run(["search", path, "--ratio", 0.5, "--girth", 4, "-o", tmp_path / "x.el"])
+        assert code == cli.EXIT_INPUT
+        assert "exactly one of ratio and girth_target" in capsys.readouterr().err
+        assert not (tmp_path / "x.el").exists()
 
 
 class TestBallsTower:
@@ -425,6 +430,15 @@ class TestExitCodes:
         out = tmp_path / "g.el"
         assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
         assert f"{edges} edges exceed the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hopeless_random_regular_refused_before_sampling(self, tmp_path, capsys):
+        # a simple sample is expected once in about exp((d^2 - 1)/4) draws
+        out = tmp_path / "g.el"
+        with mock.patch("expanderlab.rng.Stream.shuffle") as shuffle:
+            assert run(["gen", "random-regular:n=1000,d=998", "-o", out]) == cli.EXIT_REFUSED
+        assert shuffle.call_count == 0
+        assert "configuration model expects about 10^" in capsys.readouterr().err
         assert not out.exists()
 
     def test_power_edge_cap_checked_while_building(self, tmp_path, capsys, monkeypatch):

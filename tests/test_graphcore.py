@@ -197,7 +197,7 @@ class TestShortestCycleScan:
         for g in self.graphs():
             oracle = girth_by_edge_removal(g)
             for below in (*range(3, 10), math.inf):
-                found = shortest_cycle_scan(g.adj, g.n, below=below)
+                found = shortest_cycle_scan(g.adj, below=below)
                 if oracle < below:
                     length, cyc = found
                     assert length == oracle
@@ -209,29 +209,29 @@ class TestShortestCycleScan:
         # below = girth + 1 admits only shortest cycles, so the pruned scan
         # must report the same (length, cycle) as the unbounded one
         for g in self.graphs():
-            found = shortest_cycle_scan(g.adj, g.n)
+            found = shortest_cycle_scan(g.adj)
             if found is None:
                 continue
             length, _ = found
-            assert shortest_cycle_scan(g.adj, g.n, below=length + 1) == found
-            assert shortest_cycle_scan(g.adj, g.n, below=length) is None
+            assert shortest_cycle_scan(g.adj, below=length + 1) == found
+            assert shortest_cycle_scan(g.adj, below=length) is None
 
     def test_rooted_scan_is_min_over_single_roots(self):
         rng = random.Random(7)
         for g in self.graphs():
-            single = [length_root(shortest_cycle_scan(g.adj, g.n, roots=(r,))) for r in range(g.n)]
-            full = length_root(shortest_cycle_scan(g.adj, g.n))
+            single = [length_root(shortest_cycle_scan(g.adj, roots=(r,))) for r in range(g.n)]
+            full = length_root(shortest_cycle_scan(g.adj))
             assert min((f for f in single if f), default=None) == full
             for _ in range(5):
                 roots = rng.sample(range(g.n), rng.randint(1, g.n))
                 hits = [(single[r][0], i) for i, r in enumerate(roots) if single[r]]
                 if not hits:
-                    assert shortest_cycle_scan(g.adj, g.n, roots=roots) is None
+                    assert shortest_cycle_scan(g.adj, roots=roots) is None
                     continue
                 length, i = min(hits)  # the first root, in the given order, at the best length
-                found = length_root(shortest_cycle_scan(g.adj, g.n, roots=roots))
+                found = length_root(shortest_cycle_scan(g.adj, roots=roots))
                 assert found == (length, roots[i])
-                twice = length_root(shortest_cycle_scan(g.adj, g.n, roots=roots + roots))
+                twice = length_root(shortest_cycle_scan(g.adj, roots=roots + roots))
                 assert twice == (length, roots[i])
 
     def test_root_off_every_shortest_cycle_overestimates(self):
@@ -240,8 +240,8 @@ class TestShortestCycleScan:
         # closed walk down the tail and back; hence only a vertex-transitive
         # caller may scan from one root
         g = from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
-        assert shortest_cycle_scan(g.adj, g.n, roots=(5,)) == (9, [5, 4, 3, 2, 0, 1, 2, 3, 4])
-        assert shortest_cycle_scan(g.adj, g.n) == (3, [0, 1, 2])
+        assert shortest_cycle_scan(g.adj, roots=(5,)) == (9, [5, 4, 3, 2, 0, 1, 2, 3, 4])
+        assert shortest_cycle_scan(g.adj) == (3, [0, 1, 2])
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(
@@ -261,7 +261,7 @@ class TestShortestCycleScan:
         roots = None
         if rooted:
             roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-        found = shortest_cycle_scan(g.adj, g.n, below=below, roots=roots)
+        found = shortest_cycle_scan(g.adj, below=below, roots=roots)
         oracle = girth_by_edge_removal(g)
         if found is None:
             assert rooted or oracle >= below
@@ -293,18 +293,18 @@ class TestConnectivity:
 
 class TestInducedSubgraph:
     def test_path_from_c6(self):
-        sub, remap = induced_subgraph(cycle(6), {0, 1, 2})
-        assert sub.n == 3 and sub.m == 2
-        assert remap == {0: 0, 1: 1, 2: 2}
+        assert induced_subgraph(cycle(6), {0, 1, 2}) == from_edges(3, [(0, 1), (1, 2)])
+
+    def test_relabels_in_ascending_old_order(self):
+        # 0 -> 0, 1 -> 1, 5 -> 2: the edges (0, 1) and (0, 5) of C6
+        assert induced_subgraph(cycle(6), {5, 1, 0}) == from_edges(3, [(0, 1), (0, 2)])
 
     def test_full_subset_identity(self):
         g = cycle(7)
-        sub, remap = induced_subgraph(g, range(7))
-        assert sub == g
-        assert remap == {v: v for v in range(7)}
+        assert induced_subgraph(g, range(7)) == g
 
     def test_singleton(self):
-        sub, _ = induced_subgraph(cycle(5), {2})
+        sub = induced_subgraph(cycle(5), {2})
         assert sub.n == 1 and sub.m == 0
 
     def test_empty_rejected(self):
@@ -314,18 +314,18 @@ class TestInducedSubgraph:
 
 class TestInducedBall:
     def test_c10_r2_is_path(self):
-        ball, _ = induced_ball(cycle(10), 0, 2)
+        ball = induced_ball(cycle(10), 0, 2)
         assert ball.n == 5 and ball.m == 4
         degs = sorted(len(ball.adj[v]) for v in range(5))
         assert degs == [1, 1, 2, 2, 2]
 
     def test_r0(self):
-        ball, _ = induced_ball(cycle(10), 3, 0)
+        ball = induced_ball(cycle(10), 3, 0)
         assert ball.n == 1 and ball.m == 0
 
     def test_r_at_least_diameter(self):
         g = cycle(9)
-        ball, _ = induced_ball(g, 4, 9)
+        ball = induced_ball(g, 4, 9)
         assert ball == g
 
     def test_monotone_in_radius(self):

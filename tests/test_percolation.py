@@ -13,13 +13,11 @@ from expanderlab.builders import named_graph, random_regular
 from expanderlab.graphcore import (
     edge_subgraph,
     from_edges,
-    graph_fingerprint,
     is_connected,
 )
 from expanderlab.metrics import spectrum
 from expanderlab.percolation import (
     _PHASE_SWEEP,
-    PercolationSample,
     _edge_uniforms,
     component_summary,
     condition_check,
@@ -33,12 +31,12 @@ from oracles import percolation_sweep_reference
 class TestPercolate:
     def test_endpoints_exact(self):
         g = named_graph("cycle", 9)
-        assert percolate(g, 0.0, 5).retained == frozenset()
-        assert percolate(g, 1.0, 5).retained == g.edge_set()
+        assert percolate(g, 0.0, 5).edge_set() == frozenset()
+        assert percolate(g, 1.0, 5) == g
 
     def test_determinism(self):
         g = random_regular(20, 4, seed=3)
-        assert percolate(g, 0.4, 11).retained == percolate(g, 0.4, 11).retained
+        assert percolate(g, 0.4, 11) == percolate(g, 0.4, 11)
 
     def test_out_of_range(self):
         g = named_graph("cycle", 5)
@@ -49,7 +47,7 @@ class TestPercolate:
 
     def test_k4_binomial_mean(self):
         g = named_graph("complete", 4)
-        counts = [len(percolate(g, 0.5, seed).retained) for seed in range(100)]
+        counts = [percolate(g, 0.5, seed).m for seed in range(100)]
         mean = sum(counts) / len(counts)
         # Binomial(6, 0.5): mean 3, sigma of the sample mean = sqrt(1.5/100)
         assert abs(mean - 3.0) <= 4 * math.sqrt(6 * 0.25 / 100)
@@ -57,49 +55,38 @@ class TestPercolate:
     def test_monotone_coupling(self):
         g = random_regular(30, 4, seed=8)
         for seed in range(10):
-            lo = percolate(g, 0.3, seed).retained
-            hi = percolate(g, 0.7, seed).retained
+            lo = percolate(g, 0.3, seed).edge_set()
+            hi = percolate(g, 0.7, seed).edge_set()
             assert lo <= hi
 
     def test_spanning_by_construction(self):
         g = random_regular(20, 3, seed=2)
         sample = percolate(g, 0.5, 1)
-        assert edge_subgraph(g, sample.retained).n == g.n
+        assert sample.n == g.n
+        assert edge_subgraph(g, sample.edge_set()) == sample
 
 
 class TestComponentSummary:
     def test_full_retention_one_component(self):
         g = named_graph("cycle", 7)
-        summary = component_summary(g, percolate(g, 1.0, 0))
+        summary = component_summary(percolate(g, 1.0, 0))
         assert summary.count == 1 and summary.giant_fraction == 1.0
 
     def test_zero_retention_singletons(self):
         g = named_graph("cycle", 7)
-        summary = component_summary(g, percolate(g, 0.0, 0))
+        summary = component_summary(percolate(g, 0.0, 0))
         assert summary.count == 7
         assert summary.sizes == (1,) * 7
 
     def test_c4_two_opposite_edges(self):
-        g = named_graph("cycle", 4)
-        sample = PercolationSample(
-            p=0.5, seed=0, retained=frozenset({(0, 1), (2, 3)}),
-            host_ref=graph_fingerprint(g),
-        )
-        summary = component_summary(g, sample)
+        summary = component_summary(from_edges(4, [(0, 1), (2, 3)]))
         assert summary.count == 2 and summary.sizes == (2, 2)
 
     def test_sizes_sum_to_n(self):
         g = random_regular(24, 4, seed=5)
         for seed in range(10):
-            summary = component_summary(g, percolate(g, 0.4, seed))
+            summary = component_summary(percolate(g, 0.4, seed))
             assert sum(summary.sizes) == g.n
-
-    def test_host_mismatch(self):
-        g = named_graph("cycle", 4)
-        other = named_graph("cycle", 5)
-        sample = percolate(other, 0.5, 0)
-        with pytest.raises(ValueError, match="host"):
-            component_summary(g, sample)
 
 
 class TestConditionCheck:
@@ -129,7 +116,7 @@ class TestSweep:
     def test_single_point_matches_direct(self):
         g = random_regular(16, 4, seed=4)
         rows = percolation_sweep(g, [0.5], seeds_per_point=1, base_seed=13)
-        direct = component_summary(g, percolate(g, 0.5, split(13, _PHASE_SWEEP, 0)))
+        direct = component_summary(percolate(g, 0.5, split(13, _PHASE_SWEEP, 0)))
         assert rows[0].giant_mean == direct.giant_fraction
 
     def test_monotone_mean_in_p(self):

@@ -36,7 +36,7 @@ def spanning_path(n):
 
 def shortest_cycle(g):
     """One shortest cycle, as the scan returns it."""
-    found = shortest_cycle_scan(g.adj, g.n)
+    found = shortest_cycle_scan(g.adj)
     return None if found is None else found[1]
 
 
@@ -144,10 +144,9 @@ class TestReconnectRepair:
             host = random_regular(24, 4, seed=1000 + seed)
             if not is_connected(host):
                 continue
-            sub = percolate(host, 0.45, seed).retained
-            before = girth(edge_subgraph(host, sub))
-            repaired = reconnect_repair(host, edge_subgraph(host, sub)).edge_set()
-            after = girth(edge_subgraph(host, repaired))
+            sub = percolate(host, 0.45, seed)
+            before = girth(sub)
+            after = girth(reconnect_repair(host, sub))
             assert before == after
 
 
@@ -187,8 +186,7 @@ class TestAugment:
                 continue
             trials += 1
             floor = 4 + seed % 4
-            sample = edge_subgraph(host, percolate(host, 0.3, seed).retained)
-            sub = reconnect_repair(host, sample).edge_set()
+            sub = reconnect_repair(host, percolate(host, 0.3, seed)).edge_set()
             final = augment_edges(host, edge_subgraph(host, sub), floor, budget=100).edge_set()
             added = final - sub
             current = set(sub)
@@ -227,8 +225,8 @@ def _host_and_subset(draw):
     host = random_connected_graph(
         draw(st.integers(6, 26)), seed, extra_edges=draw(st.integers(0, 40))
     )
-    sample = percolate(host, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), seed).retained
-    return host, reconnect_repair(host, edge_subgraph(host, sample)).edge_set()
+    sample = percolate(host, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), seed)
+    return host, reconnect_repair(host, sample).edge_set()
 
 
 class TestAgainstReferences:
@@ -320,6 +318,26 @@ class TestSearch:
             )
         with pytest.raises(ValueError, match="ratio"):
             search_spanning_subexpander(host, strategy="trim", budget=1, seed=0)
+        with pytest.raises(ValueError, match="exactly one"):
+            search_spanning_subexpander(
+                host, ratio=0.5, girth_target=4, strategy="trim", budget=1, seed=0
+            )
+
+    @pytest.mark.parametrize(
+        "spec", ["complete:n=5", "power:k=3,inner=(random-regular:n=128,d=4,seed=1)"]
+    )
+    def test_percolate_repair_p_is_the_window_edge(self, spec):
+        # p = min(1, 1/(rho_star * d)): 1/(rho_star * d) is 1 on K5 and 0.0457 on
+        # the cube, both outside the [0.05, 0.95] that p was once clamped to
+        host = builders.build_family(parse_family_spec(spec)).graph
+        expected = min(1.0, 1.0 / (spectrum(host).rho_star * host.max_degree))
+        with mock.patch("expanderlab.search.percolate", wraps=percolate) as spy:
+            search_spanning_subexpander(
+                host, girth_target=3, strategy="percolate-repair", budget=1, seed=0
+            )
+        (_, p, _), _ = spy.call_args
+        assert p == expected
+        assert not 0.05 <= p <= 0.95
 
     @pytest.mark.parametrize("strategy", ["trim", "percolate-repair"])
     def test_contract_on_random_hosts(self, strategy):
