@@ -271,7 +271,7 @@ def base_family_id(spec: FamilySpec) -> str:
 @dataclass(frozen=True)
 class BuildResult:
     graph: Graph
-    labels: Optional[tuple[str, ...]] = None  # Cayley vertex labels, if any
+    elements: Optional[tuple[tuple[int, ...], ...]] = None  # Cayley group elements, if any
 
 
 def build_family(spec: FamilySpec) -> BuildResult:
@@ -287,7 +287,7 @@ def build_family(spec: FamilySpec) -> BuildResult:
         return BuildResult(named_graph("petersen"))
     if kind == "cayley":
         result = matgroups.cayley_from_recipe(p["recipe"], p["p"], p["level"])
-        return BuildResult(result.graph, labels=result.labels)
+        return BuildResult(result.graph, elements=result.elements)
     if kind == "power":
         return BuildResult(graph_power(build_family(p["inner"]).graph, p["k"]))
     if kind == "product":

@@ -138,10 +138,10 @@ def _cmd_gen(args) -> int:
     out = Path(args.output)
     save_graph(result.graph, out)
     outputs = [out]
-    if result.labels is not None:
+    if result.elements is not None:
         label_path = Path(str(out) + ".labels")
         label_path.write_text(
-            "".join(f"{i} {lab}\n" for i, lab in enumerate(result.labels)),
+            "".join(f"{i} {' '.join(map(str, e))}\n" for i, e in enumerate(result.elements)),
             encoding="ascii",
             newline="",
         )

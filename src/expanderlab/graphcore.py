@@ -14,7 +14,6 @@ import hashlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ComputationRefused
@@ -65,11 +64,6 @@ class Graph:
         a = self.adj[u]
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """SHA-256 of the canonical edge-list text, computed once per graph."""
-        return hashlib.sha256(write_edge_list_text(self).encode("ascii")).hexdigest()
 
 
 def check_size(n: int, m: int = 0) -> None:
@@ -376,4 +370,4 @@ def load_graph(path) -> Graph:
 
 def graph_fingerprint(g: Graph) -> str:
     """SHA-256 of the canonical edge-list text; identifies a host graph exactly."""
-    return g.fingerprint
+    return hashlib.sha256(write_edge_list_text(g).encode("ascii")).hexdigest()

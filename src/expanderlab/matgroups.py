@@ -146,7 +146,7 @@ def sl2_order(q: int) -> Optional[int]:
 @dataclass(frozen=True)
 class CayleyResult:
     graph: Graph
-    labels: tuple[str, ...]
+    elements: tuple[tuple[int, ...], ...]
     reached_order: int
     full_group_order: Optional[int]
 
@@ -187,10 +187,11 @@ def cayley_graph(gens: GeneratorSet) -> CayleyResult:
             edges.add((i, j) if i < j else (j, i))
         i += 1
     graph = from_edges(len(order), edges)
-    labels = tuple(" ".join(map(str, e)) for e in order)
     base = sl2_order(q)
     full = base ** (len(ident) // 4) if base is not None else None
-    return CayleyResult(graph=graph, labels=labels, reached_order=len(order), full_group_order=full)
+    return CayleyResult(
+        graph=graph, elements=tuple(order), reached_order=len(order), full_group_order=full
+    )
 
 
 def generators_from_recipe(recipe: str, q: int) -> GeneratorSet:

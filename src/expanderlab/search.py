@@ -358,17 +358,15 @@ def conjecture_probe(
 
     hosts = []
     built: dict[str, Graph] = {}  # canonical spec, defaults filled -> graph, for power: reuse
-    first: dict[str, str] = {}  # fingerprint -> the instance that built it, for repeats
+    first: dict[Graph, str] = {}  # graph -> the instance that built it, for repeats
     for spec in specs:
         key = canonical_spec_string(spec)
         reuse = with_defaults(spec.params["inner"]) if spec.kind == "power" else None
         inner = None if reuse is None else built.get(canonical_spec_string(reuse))
         g = build_family(spec).graph if inner is None else graph_power(inner, spec.params["k"])
-        if g.fingerprint in first:
-            raise ValueError(
-                f"repeated instance {key!r}: builds the same graph as {first[g.fingerprint]!r}"
-            )
-        first[g.fingerprint] = key
+        if g in first:
+            raise ValueError(f"repeated instance {key!r}: builds the same graph as {first[g]!r}")
+        first[g] = key
         built[canonical_spec_string(with_defaults(spec))] = g
         if not is_connected(g):
             raise ValueError(f"family instance {key!r} is not connected")

@@ -271,7 +271,7 @@ class TestFamilySpec:
         assert build_family(parse_family_spec("petersen")).graph.n == 10
         assert build_family(parse_family_spec("random-regular:n=10,d=3,seed=1")).graph.m == 15
         res = build_family(parse_family_spec("cayley:recipe=elementary,p=3"))
-        assert res.graph.n == 24 and res.labels is not None
+        assert res.graph.n == 24 and res.elements is not None
         assert build_family(
             parse_family_spec("product:inner=(cycle:n=3),inner2=(cycle:n=3)")
         ).graph.n == 9

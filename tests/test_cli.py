@@ -588,10 +588,11 @@ class TestExitCodes:
         [
             ("random-regular:n=20,d=3", "random-regular:n=20,d=3,seed=0"),
             ("cayley:p=5", "cayley:recipe=elementary,p=5,level=1"),
+            ("cycle:n=5", "power:k=1,inner=(cycle:n=5)"),
         ],
     )
     def test_probe_same_graph_under_two_specs_is_2(self, tmp_path, first, second):
-        # the specs differ only by a default, so they build one graph
+        # the specs differ by a default or in kind, yet build one graph
         out = tmp_path / "probe"
         code = run(["probe", "--family", first, "--family", second, "--ratios", "0.5",
                     "--strategies", "trim", "--out-dir", out])

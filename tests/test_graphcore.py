@@ -422,4 +422,3 @@ class TestTextFormat:
         g = random_connected_graph(12, 9, extra_edges=4)
         text = write_edge_list_text(g).encode("ascii")
         assert graph_fingerprint(g) == hashlib.sha256(text).hexdigest()
-        assert graph_fingerprint(g) is graph_fingerprint(g)  # computed once

@@ -3,10 +3,14 @@
 Every name a module imports at top level is read in it: `import a.b` binds
 `a`; `from __future__` imports are directives, not names. Every private
 (`_name`, not dunder) function, class or variable a `src/` module defines at
-top level is read in that same module.
+top level is read in that same module. Every public name a `src/` module
+defines at top level is read outside `tests/`: loaded as a name or an
+attribute in `src/`, mentioned in `bench/*.py`, or named by the console
+script in `pyproject.toml`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -34,8 +38,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-def unread_private_names(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _top_level_defs(tree: ast.Module) -> dict[str, int]:
+    """Each name a def, class or assignment binds at top level -> its first line."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -46,10 +50,39 @@ def unread_private_names(source: str) -> list[str]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined.setdefault(name, node.lineno)
+            defined.setdefault(name, node.lineno)
+    return defined
+
+
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
     used = _read_names(tree)
-    return [f"line {line}: {name}" for name, line in defined.items() if name not in used]
+    return [
+        f"line {line}: {name}"
+        for name, line in _top_level_defs(tree).items()
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+
+
+def unread_public_names(sources: dict[str, str], other_text: str) -> list[str]:
+    """Public top-level names of `sources` (file name -> text) that nothing reads.
+
+    A read is a name or attribute load in any of `sources`, or the name as a
+    whole word in `other_text` (the bench scripts and the console script entries).
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set().union(*map(_read_names, trees.values()))
+    read |= {
+        n.attr for t in trees.values() for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    read |= set(re.findall(r"\w+", other_text))
+    return [
+        f"{file} line {line}: {name}"
+        for file, tree in trees.items()
+        for name, line in _top_level_defs(tree).items()
+        if not name.startswith("_") and name not in read
+    ]
 
 
 def test_check_sees_unused_names():
@@ -75,3 +108,24 @@ def test_check_sees_unread_private_names():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_unread_public_names():
+    sources = {
+        "a.py": (
+            "X = 1\nY, _z = 2, 3\ndef f():\n    return g()\ndef g():\n    pass\n"
+            "class C:\n    pass\n"
+        ),
+        "b.py": "import a\nT = a.Y\nclass D:\n    pass\n",
+    }
+    assert unread_public_names(sources, "D = 'as text'") == [
+        "a.py line 1: X", "a.py line 3: f", "a.py line 7: C", "b.py line 2: T"
+    ]
+
+
+def test_no_public_name_read_only_by_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("bench/*.py")))
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = project.split("[project.scripts]")[1].split("\n[")[0]
+    assert unread_public_names(sources, bench + "\n" + scripts) == []

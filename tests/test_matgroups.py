@@ -208,15 +208,15 @@ class TestCayleyGraph:
 
     def test_labels_are_row_major_entries(self):
         res = cayley_graph(elementary(3))
-        assert res.labels[0] == "1 0 0 1"  # identity is vertex 0
-        assert len(res.labels) == 24
+        assert res.elements[0] == (1, 0, 0, 1)  # identity is vertex 0
+        assert len(res.elements) == 24
 
     def test_product_labels_join_block_labels(self):
         left = cayley_graph(sanov(3))
         res = cayley_graph(product_generators(sanov(3), "diagonal"))
-        assert res.labels[0] == "1 0 0 1 1 0 0 1"
+        assert res.elements[0] == (1, 0, 0, 1, 1, 0, 0, 1)
         # the diagonal copy: each vertex is (g, g), found in the same BFS order
-        assert res.labels == tuple(f"{x} {x}" for x in left.labels)
+        assert res.elements == tuple(e + e for e in left.elements)
 
 
 class TestRecipes:
