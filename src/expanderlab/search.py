@@ -19,12 +19,19 @@ one place only: the re-measure of every returned candidate (girth, gap,
 connectivity), which is also the check that it lies in the host — nothing is
 trusted from the search loop's bookkeeping. percolate-repair percolates at
 p = min(1, 1/(rho_star * d)), the edge of the paper's window rho_star * d * p < 1.
+
+`conjecture_probe` runs its (host, ratio, strategy) cells in a pool of forked
+workers, one per CPU in the process's affinity mask, capped at the number of
+cells. Each cell has its own seed and the results come back in cell order,
+so the outputs are the same for any worker count (`taskset -c 0` gives one
+worker). Workers inherit the environment, `OPENBLAS_NUM_THREADS` included.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -324,6 +331,29 @@ def _meets(result: SearchResult, target: int) -> bool:
     return result.connected and result.girth_achieved >= target
 
 
+# (graph, spectrum) per host, set only in probe workers by the pool's
+# initializer. The pool forks, so the hosts are not pickled: a spectrum holds
+# its lambda_n solver as a closure, and the graphs reach the workers for free.
+_worker_hosts: list[tuple[Graph, SpectrumResult]] = []
+
+
+def _init_worker(hosts: list[tuple[Graph, SpectrumResult]]) -> None:
+    _worker_hosts[:] = hosts
+
+
+def _run_cell(cell: tuple[int, int, str, int, int]) -> SearchResult:
+    i, target, strategy, budget, seed = cell
+    g, spec_res = _worker_hosts[i]
+    return search_spanning_subexpander(
+        g,
+        girth_target=target,
+        strategy=strategy,
+        budget=budget,
+        seed=seed,
+        host_spectrum=spec_res,
+    )
+
+
 def conjecture_probe(
     specs: Sequence[FamilySpec],
     ratios: Sequence[float],
@@ -341,6 +371,13 @@ def conjecture_probe(
     and whether girth grew with instance size. A repeated ratio or strategy
     is rejected, and so is an instance that builds the same graph as an
     earlier one, since either would repeat a cell.
+
+    Hosts are built and measured in this process. The cells then run in a
+    fork pool of one worker per CPU in the process's affinity mask, capped at
+    the number of cells; each cell has its own seed and results return in
+    cell order, so outputs are identical for any worker count (`taskset -c 0`
+    gives one worker). Workers inherit `OPENBLAS_NUM_THREADS` with the rest of
+    the environment. An error raised in a cell reaches the caller by type.
     """
     for s in strategies:
         if s not in STRATEGIES:
@@ -349,6 +386,8 @@ def conjecture_probe(
         raise ValueError("need at least one family spec and one ratio")
     for c in ratios:
         _check_ratio(c)
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
     for what, items in (("ratio", ratios), ("strategy", strategies)):
         seen = set()
         for x in items:
@@ -373,24 +412,30 @@ def conjecture_probe(
         spec_res = spectrum(g)
         hosts.append((spec, key, g, spec_res, diameter(g), exact_h(g, DEFAULT_EXACT_MAX)))
 
+    if "percolate-repair" in strategies:
+        for _, _, _, spec_res, _, _ in hosts:
+            spec_res.rho_star  # solve lambda_n once per host, before the workers fork
+
+    cells = [
+        (i, math.ceil(c * d_host), strat, budget, split(seed, _PHASE_PROBE, i, ri, si))
+        for i, (_, _, _, _, d_host, _) in enumerate(hosts)
+        for ri, c in enumerate(ratios)
+        for si, strat in enumerate(strategies)
+    ]
+    import multiprocessing  # here, not at top level: every CLI command imports this module
+
+    workers = min(len(os.sched_getaffinity(0)), len(cells))
+    shared = [(g, spec_res) for _, _, g, spec_res, _, _ in hosts]
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (shared,)) as pool:
+        results = iter(pool.map(_run_cell, cells, chunksize=1))
+        pool.close()
+        pool.join()
+
     records: list[ProbeRecord] = []
-    for i, (spec, key, g, spec_res, d_host, h_host) in enumerate(hosts):
-        for ri, c in enumerate(ratios):
+    for spec, key, g, spec_res, d_host, h_host in hosts:
+        for c in ratios:
             target = math.ceil(c * d_host)
-            runs = [
-                (
-                    strat,
-                    search_spanning_subexpander(
-                        g,
-                        girth_target=target,
-                        strategy=strat,
-                        budget=budget,
-                        seed=split(seed, _PHASE_PROBE, i, ri, si),
-                        host_spectrum=spec_res,
-                    ),
-                )
-                for si, strat in enumerate(strategies)
-            ]
+            runs = [(strat, next(results)) for strat in strategies]
             meeting = [(s, r) for s, r in runs if _meets(r, target)]
             if meeting:
                 strat, best = min(meeting, key=lambda sr: (-sr[1].gap, sr[0]))

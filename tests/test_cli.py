@@ -620,6 +620,43 @@ def test_module_imports_alone(module):
     subprocess.run([sys.executable, "-c", f"import expanderlab.{module}"], env=env, check=True)
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # every command pays for what `expanderlab.cli` imports; only the probe needs a pool
+    src = str(Path(expanderlab.__file__).resolve().parents[1])
+    code = "import sys, expanderlab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    assert out == "False\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least two CPUs",
+)
+def test_probe_bytes_do_not_depend_on_worker_count(tmp_path):
+    # the probe runs one worker per CPU in its affinity mask: here all of them, then one
+    argv = ["probe", "--family", "random-regular:n=20,d=4,seed=3", "--family", "cycle:n=12",
+            "--ratios", "0.25,0.5", "--strategies", "all", "--budget", "50", "--seed", "5"]
+    assert run([*argv, "--out-dir", tmp_path / "pool"]) == 0
+    one_cpu = {min(os.sched_getaffinity(0))}
+    src = str(Path(expanderlab.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-m", "expanderlab", *argv, "--out-dir", "one"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, one_cpu),
+    )
+    for name in ("probe.csv", "probe_summary.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+
 def test_package_import_loads_no_submodule():
     # the package holds only its version, so `import expanderlab.<m>` loads m alone
     src = str(Path(expanderlab.__file__).resolve().parents[1])

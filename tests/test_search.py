@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import random
 from unittest import mock
 
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import builders, graphcore
+from expanderlab import builders, graphcore, search
 from expanderlab.builders import named_graph, parse_family_spec, random_regular
+from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import edge_subgraph, from_edges, is_connected, shortest_cycle_scan
 from expanderlab.metrics import UNBOUNDED, girth, spectrum
 from expanderlab.percolation import percolate
+from expanderlab.rng import split
 from expanderlab.search import (
+    STRATEGIES,
     _far_candidates,
     augment_edges,
     conjecture_probe,
@@ -466,6 +470,54 @@ class TestProbe:
             conjecture_probe(
                 [parse_family_spec(f) for f in families], ratios, strategies=strategies
             )
+
+    def test_pool_cells_equal_direct_searches(self):
+        # each record is the winner of direct, serial searches on its cell's seed
+        specs = [parse_family_spec("random-regular:n=20,d=4,seed=3"),
+                 parse_family_spec("cycle:n=12")]
+        ratios = [0.25, 0.5]
+        records, _ = conjecture_probe(specs, ratios, budget=100, seed=9)
+        assert multiprocessing.active_children() == []
+        assert len(records) == len(specs) * len(ratios)
+        for k, rec in enumerate(records):
+            i, ri = divmod(k, len(ratios))
+            host = builders.build_family(specs[i]).graph
+            runs = {
+                strat: search_spanning_subexpander(
+                    host, girth_target=rec.girth_target, strategy=strat, budget=100,
+                    seed=split(9, search._PHASE_PROBE, i, ri, si),
+                )
+                for si, strat in enumerate(STRATEGIES)
+            }
+            meeting = [
+                s for s, r in runs.items() if r.connected and r.girth_achieved >= rec.girth_target
+            ]
+            winner = (
+                min(meeting, key=lambda s: (-runs[s].gap, s)) if meeting
+                else min(runs, key=lambda s: (-runs[s].girth_achieved, -runs[s].gap, s))
+            )
+            best = runs[winner]
+            assert (rec.strategy, rec.best_gap, rec.best_girth, rec.seed) == (
+                winner, best.gap, best.girth_achieved, best.seed
+            )
+
+    def test_cell_error_reaches_caller_and_no_worker_is_left(self, monkeypatch):
+        # fork hands the patched search to the workers; the error comes back by type
+        def refuse(*args, **kwargs):
+            raise ComputationRefused("refused in a cell")
+
+        monkeypatch.setattr(search, "search_spanning_subexpander", refuse)
+        with pytest.raises(ComputationRefused, match="refused in a cell"):
+            conjecture_probe([parse_family_spec("cycle:n=10")], [0.25, 0.5], budget=10)
+        assert multiprocessing.active_children() == []
+
+    def test_budget_refused_before_any_host_is_built(self, monkeypatch):
+        def unbuilt(spec):
+            raise AssertionError(f"built {spec}")
+
+        monkeypatch.setattr(search, "build_family", unbuilt)
+        with pytest.raises(ValueError, match="budget"):
+            conjecture_probe([parse_family_spec("cycle:n=10")], [0.5], budget=0)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
