@@ -280,9 +280,9 @@ def _cmd_balls(args) -> int:
     g = load_graph(args.graph)
     rows, summary = metrics.ball_expansion_profile(g, args.radius)
     out = Path(args.output)
-    # one row per ball, then one summary row; the radius is the command's own
+    # one row per ball, then one summary row
     row_fields = _fields(metrics.BallProfileRow)
-    summary_fields = [f for f in _fields(metrics.BallProfileSummary) if f != "radius"]
+    summary_fields = _fields(metrics.BallProfileSummary)
     csv_rows = [["ball", *dataclasses.astuple(r), *[None] * len(summary_fields)] for r in rows]
     csv_rows.append(
         ["summary", *[None] * len(row_fields), *(getattr(summary, f) for f in summary_fields)]

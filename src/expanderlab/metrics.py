@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from statistics import median
 from typing import Callable, Optional
 
@@ -166,7 +166,8 @@ class SpectrumResult:
 
     rho_star needs the other end of the spectrum, lambda_n. It is solved on
     first read and then cached, so a caller that reads only lambda2 or gap
-    pays for one Lanczos solve above n = 512.
+    pays for one Lanczos solve above n = 512. The solver is a `partial`, not
+    a closure, so a result pickles, with rho_star if it has been read.
     """
 
     lambda2: float
@@ -353,8 +354,8 @@ def spectrum(g: Graph) -> SpectrumResult:
         raise ValueError("spectrum requires a connected graph")
     if g.n <= _DENSE_EIGEN_LIMIT:
         lam2, lam_n = _extremes_dense(g)
-        return SpectrumResult(lam2, lambda: lam_n)
-    return SpectrumResult(_extreme_iterative(g, "LA"), lambda: _extreme_iterative(g, "SA"))
+        return SpectrumResult(lam2, partial(float, lam_n))
+    return SpectrumResult(_extreme_iterative(g, "LA"), partial(_extreme_iterative, g, "SA"))
 
 
 def girth(g: Graph, vertex_transitive: bool = False):
@@ -397,7 +398,6 @@ class BallProfileRow:
 
 @dataclass(frozen=True)
 class BallProfileSummary:
-    radius: int
     min_gap: Optional[float]
     median_gap: Optional[float]
     min_h_exact: Optional[Fraction]
@@ -424,7 +424,6 @@ def ball_expansion_profile(g: Graph, r: int) -> tuple[list[BallProfileRow], Ball
     gaps = [row.gap for row in rows if row.gap is not None]
     hs = [row.h_exact for row in rows if row.h_exact is not None]
     summary = BallProfileSummary(
-        radius=r,
         min_gap=min(gaps) if gaps else None,
         median_gap=median(gaps) if gaps else None,
         min_h_exact=min(hs) if hs else None,

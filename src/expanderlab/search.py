@@ -20,11 +20,8 @@ connectivity), which is also the check that it lies in the host — nothing is
 trusted from the search loop's bookkeeping. percolate-repair percolates at
 p = min(1, 1/(rho_star * d)), the edge of the paper's window rho_star * d * p < 1.
 
-`conjecture_probe` runs its (host, ratio, strategy) cells in a pool of forked
-workers, one per CPU in the process's affinity mask, capped at the number of
-cells. Each cell has its own seed and the results come back in cell order,
-so the outputs are the same for any worker count (`taskset -c 0` gives one
-worker). Workers inherit the environment, `OPENBLAS_NUM_THREADS` included.
+`conjecture_probe` runs its (host, ratio, strategy) cells in a fork pool; its
+docstring says how, and why the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -226,9 +223,25 @@ class SearchResult:
     iterations_used: int
 
 
-def _check_ratio(ratio: float) -> None:
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise ValueError(f"girth/diameter ratio must be finite and > 0, got {ratio}")
+def _check_request(strategies: Sequence[str], ratios: Sequence[float], budget: int) -> None:
+    """Refuse an unknown or repeated strategy, a bad or repeated ratio, or a budget below 1.
+
+    A ratio must be > 0 with ratio * VERTEX_CAP finite: every diameter is
+    below the cap, so ceil(ratio * diameter) is then an int.
+    """
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
+    for c in ratios:
+        if not (c > 0 and math.isfinite(c * graphcore.VERTEX_CAP)):
+            cap = graphcore.VERTEX_CAP
+            raise ValueError(f"girth/diameter ratio must be > 0 with ratio * {cap} finite, got {c}")
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    for what, items in (("ratio", ratios), ("strategy", strategies)):
+        for k, x in enumerate(items):
+            if x in items[:k]:
+                raise ValueError(f"repeated {what} {x!r}")
 
 
 def search_spanning_subexpander(
@@ -249,14 +262,10 @@ def search_spanning_subexpander(
     """
     if (ratio is None) == (girth_target is None):
         raise ValueError("give exactly one of ratio and girth_target")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    _check_request((strategy,), () if ratio is None else (ratio,), budget)
     if not is_connected(host):
         raise ValueError("search requires a connected host")
     if girth_target is None:
-        _check_ratio(ratio)
         girth_target = math.ceil(ratio * diameter(host))
     target_eff = max(girth_target, 3)  # girth >= 3 holds vacuously for any target below
 
@@ -331,19 +340,8 @@ def _meets(result: SearchResult, target: int) -> bool:
     return result.connected and result.girth_achieved >= target
 
 
-# (graph, spectrum) per host, set only in probe workers by the pool's
-# initializer. The pool forks, so the hosts are not pickled: a spectrum holds
-# its lambda_n solver as a closure, and the graphs reach the workers for free.
-_worker_hosts: list[tuple[Graph, SpectrumResult]] = []
-
-
-def _init_worker(hosts: list[tuple[Graph, SpectrumResult]]) -> None:
-    _worker_hosts[:] = hosts
-
-
-def _run_cell(cell: tuple[int, int, str, int, int]) -> SearchResult:
-    i, target, strategy, budget, seed = cell
-    g, spec_res = _worker_hosts[i]
+def _run_cell(cell: tuple[Graph, SpectrumResult, int, str, int, int]) -> SearchResult:
+    g, spec_res, target, strategy, budget, seed = cell
     return search_spanning_subexpander(
         g,
         girth_target=target,
@@ -372,28 +370,20 @@ def conjecture_probe(
     is rejected, and so is an instance that builds the same graph as an
     earlier one, since either would repeat a cell.
 
-    Hosts are built and measured in this process. The cells then run in a
-    fork pool of one worker per CPU in the process's affinity mask, capped at
-    the number of cells; each cell has its own seed and results return in
-    cell order, so outputs are identical for any worker count (`taskset -c 0`
-    gives one worker). Workers inherit `OPENBLAS_NUM_THREADS` with the rest of
-    the environment. An error raised in a cell reaches the caller by type.
+    Hosts are built and measured in this process. Each cell then carries its
+    host by value, (graph, spectrum, target, strategy, budget, seed), with
+    the host's rho_star already solved when percolate-repair is raced, and
+    the cells run in a fork pool of one worker per CPU in the process's
+    affinity mask, capped at the number of cells. Results return in cell
+    order, so outputs are identical for any worker count (`taskset -c 0`
+    gives one worker). The pool forks: a forkserver or spawn worker
+    re-imports numpy, and the bench probe ran slower that way.
+    Workers inherit `OPENBLAS_NUM_THREADS` with the rest of the environment.
+    An error raised in a cell reaches the caller by type.
     """
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
     if not specs or not ratios:
         raise ValueError("need at least one family spec and one ratio")
-    for c in ratios:
-        _check_ratio(c)
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    for what, items in (("ratio", ratios), ("strategy", strategies)):
-        seen = set()
-        for x in items:
-            if x in seen:
-                raise ValueError(f"repeated {what} {x!r}")
-            seen.add(x)
+    _check_request(strategies, ratios, budget)
 
     hosts = []
     built: dict[str, Graph] = {}  # canonical spec, defaults filled -> graph, for power: reuse
@@ -410,23 +400,20 @@ def conjecture_probe(
         if not is_connected(g):
             raise ValueError(f"family instance {key!r} is not connected")
         spec_res = spectrum(g)
+        if "percolate-repair" in strategies:
+            spec_res.rho_star  # solve lambda_n once here; the cached value travels with the cells
         hosts.append((spec, key, g, spec_res, diameter(g), exact_h(g, DEFAULT_EXACT_MAX)))
 
-    if "percolate-repair" in strategies:
-        for _, _, _, spec_res, _, _ in hosts:
-            spec_res.rho_star  # solve lambda_n once per host, before the workers fork
-
     cells = [
-        (i, math.ceil(c * d_host), strat, budget, split(seed, _PHASE_PROBE, i, ri, si))
-        for i, (_, _, _, _, d_host, _) in enumerate(hosts)
+        (g, spec_res, math.ceil(c * d_host), strat, budget, split(seed, _PHASE_PROBE, i, ri, si))
+        for i, (_, _, g, spec_res, d_host, _) in enumerate(hosts)
         for ri, c in enumerate(ratios)
         for si, strat in enumerate(strategies)
     ]
     import multiprocessing  # here, not at top level: every CLI command imports this module
 
     workers = min(len(os.sched_getaffinity(0)), len(cells))
-    shared = [(g, spec_res) for _, _, g, spec_res, _, _ in hosts]
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (shared,)) as pool:
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         results = iter(pool.map(_run_cell, cells, chunksize=1))
         pool.close()
         pool.join()

@@ -599,7 +599,7 @@ class TestExitCodes:
         assert code == cli.EXIT_INPUT
         assert not out.exists()
 
-    @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "-1", "1e308"])
     def test_bad_ratio_is_2(self, tmp_path, ratio):
         host = tmp_path / "c10.el"
         run(["gen", "cycle:n=10", "-o", host])

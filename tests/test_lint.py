@@ -1,4 +1,4 @@
-"""Dead-name checks, as plain `ast` passes, since no linter ships with the toolchain.
+"""Dead-name and module-state checks, as `ast` passes, since no linter ships with the toolchain.
 
 Every name a module imports at top level is read in it: `import a.b` binds
 `a`; `from __future__` imports are directives, not names. Every private
@@ -6,7 +6,9 @@ Every name a module imports at top level is read in it: `import a.b` binds
 top level is read in that same module. Every public name a `src/` module
 defines at top level is read outside `tests/`: loaded as a name or an
 attribute in `src/`, mentioned in `bench/*.py`, or named by the console
-script in `pyproject.toml`.
+script in `pyproject.toml`. No `src/` module binds a top-level name with a
+lowercase letter (dunders excepted): module-level values are UPPER_CASE
+constants, so no module holds state that a call can change.
 """
 
 import ast
@@ -38,20 +40,32 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _assigned(node: ast.stmt) -> list[str]:
+    """The names an assignment statement binds; none for any other statement."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _top_level_defs(tree: ast.Module) -> dict[str, int]:
     """Each name a def, class or assignment binds at top level -> its first line."""
     defined = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in names:
+        is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for name in [node.name] if is_def else _assigned(node):
             defined.setdefault(name, node.lineno)
     return defined
+
+
+def module_state(source: str) -> list[str]:
+    """Top-level assignments to a name with a lowercase letter, dunders excepted."""
+    return [
+        f"line {node.lineno}: {name}"
+        for node in ast.parse(source).body
+        for name in _assigned(node)
+        if name != name.upper() and not (name.startswith("__") and name.endswith("__"))
+    ]
 
 
 def unread_private_names(source: str) -> list[str]:
@@ -129,3 +143,18 @@ def test_no_public_name_read_only_by_tests():
     project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = project.split("[project.scripts]")[1].split("\n[")[0]
     assert unread_public_names(sources, bench + "\n" + scripts) == []
+
+
+def test_check_sees_module_state():
+    source = (
+        "X = 1\n_Y: int = 2\n__version__ = '1'\n_cache = {}\nstate: list = []\n"
+        "a, B = 1, 2\nMixed_Case = 0\ndef f():\n    local = 1\nclass C:\n    attr = 1\n"
+    )
+    assert module_state(source) == [
+        "line 4: _cache", "line 5: state", "line 6: a", "line 7: Mixed_Case"
+    ]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_state(path):
+    assert module_state(path.read_text(encoding="utf-8")) == []

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -351,6 +352,19 @@ class TestLanczosPath:
         assert _run_python(_READ_ORDER_HEX.format(spec=RR1024, rho_first=True)) == (
             f"{gap_only} {rho}\n"
         )
+
+    @pytest.mark.parametrize("spec", ["random-regular:n=64,d=3,seed=2", RR1024])
+    @pytest.mark.parametrize("read_before", [True, False])
+    def test_pickles_with_or_without_rho_star(self, spec, read_before):
+        # the probe's cells carry a host's spectrum to its workers by pickle
+        g = _build(spec)
+        s = spectrum(g)
+        if read_before:
+            s.rho_star
+        back = pickle.loads(pickle.dumps(s))
+        assert ("rho_star" in vars(back)) == read_before  # the cached value travels
+        assert back.lambda2.hex() == s.lambda2.hex()
+        assert back.rho_star.hex() == s.rho_star.hex()
 
     def test_no_command_imports_scipy(self, tmp_path):
         # a measure on the Lanczos path (n > 512) solves both ends without scipy

@@ -302,7 +302,7 @@ class TestSearch:
         res = search_spanning_subexpander(host, ratio=2.0, strategy="trim", budget=10, seed=0)
         assert res.girth_achieved == 10  # target ceil(2*5)=10, C10 already meets it
 
-    @pytest.mark.parametrize("ratio", [math.inf, math.nan, 0.0, -1.0, None])
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, 0.0, -1.0, 1e308, None])
     def test_bad_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="ratio"):
             search_spanning_subexpander(cycle(10), ratio=ratio, strategy="trim", budget=10, seed=0)
@@ -511,13 +511,26 @@ class TestProbe:
             conjecture_probe([parse_family_spec("cycle:n=10")], [0.25, 0.5], budget=10)
         assert multiprocessing.active_children() == []
 
-    def test_budget_refused_before_any_host_is_built(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "ratios, strategies, budget, match",
+        [
+            pytest.param([0.5], STRATEGIES, 0, "budget", id="budget"),
+            pytest.param([0.5], ("trim", "magic"), 10, "unknown strategy 'magic'", id="strategy"),
+            pytest.param([0.5, 0.25, 0.5], STRATEGIES, 10, "repeated ratio 0.5", id="repeat"),
+            pytest.param([0.5, 1e308], STRATEGIES, 10, r"finite, got 1e\+308", id="overflow"),
+        ],
+    )
+    def test_bad_request_refused_before_any_host_is_built(
+        self, monkeypatch, ratios, strategies, budget, match
+    ):
         def unbuilt(spec):
             raise AssertionError(f"built {spec}")
 
         monkeypatch.setattr(search, "build_family", unbuilt)
-        with pytest.raises(ValueError, match="budget"):
-            conjecture_probe([parse_family_spec("cycle:n=10")], [0.5], budget=0)
+        with pytest.raises(ValueError, match=match):
+            conjecture_probe(
+                [parse_family_spec("cycle:n=10")], ratios, strategies=strategies, budget=budget
+            )
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
