@@ -129,6 +129,21 @@ CASES = {
         ["gen", "cayley:recipe=elementary,p=5", "-o", "sl2_5.el"],
         ["balls", "sl2_5.el", "--radius", "2", "-o", "balls_sl2_5.csv"],
     ],
+    "reference-kinds": [
+        # the family kinds no other case builds: a Cartesian product, K_n, Petersen
+        *(
+            cmd
+            for name, spec in (
+                ("c3xpetersen", "product:inner=(cycle:n=3),inner2=(petersen)"),
+                ("k6", "complete:n=6"),
+                ("petersen", "petersen"),
+            )
+            for cmd in (
+                ["gen", spec, "-o", f"{name}.el"],
+                ["measure", f"{name}.el", "-o", f"{name}.json"],
+            )
+        ),
+    ],
     "sentinels": [
         # a disconnected percolation sample and a path: the null-plus-flag
         # encodings of an unbounded diameter and girth, and exact h of a path
@@ -196,6 +211,20 @@ GOLDEN = {
             "02f051fedd855272c0d4113f3009ac3835695b2fc474b5e17b6a23fce7754f68",
         "probe/probe_summary.json":
             "252778904cc25847c4ec3a3e009b6dec9fef4a1cadced1106dfe787a76693526",
+    },
+    "reference-kinds": {
+        "c3xpetersen.el":
+            "d3e8631499748b49506d3e8617e3f9a7708a7c8973c443101da70e7673a61127",
+        "c3xpetersen.json":
+            "40fa0e6a0e8a6a1fecdfab6999a1c881c8b3f6047ad40f39f58e6b44dbea0595",
+        "k6.el":
+            "3855aca69894c94c7c28e83bbef2440f4b3b44f44fe8567de447989fceb3317e",
+        "k6.json":
+            "33db0d99b591c5cf166f765ed3b5ffc659056cee6103f831c5cc17a41c907735",
+        "petersen.el":
+            "752614ebbca28fed6df2d0f9a9956fbd7ef474cfcf81844466ed681193517872",
+        "petersen.json":
+            "2a36b67065bbee0be161a6ab8440feb4e3fb49d8ec9a206588467ba9f4befc9c",
     },
     "search": {
         "percolate-repair-4.el":
