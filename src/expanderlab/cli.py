@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -54,12 +53,15 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.9g}"
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return str(x)
+
+
+def _split_list(text: str) -> list[str]:
+    """The entries of a comma-separated option, stripped; blank entries are ignored."""
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 def _round9(obj):
@@ -192,7 +194,7 @@ def _cmd_percolate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g = load_graph(args.graph)
-    grid = [float(x) for x in args.grid.split(",") if x.strip() != ""]
+    grid = [float(x) for x in _split_list(args.grid)]
     rows = percolation.percolation_sweep(g, grid, args.seeds_per, args.seed)
     out = Path(args.output)
     _write_csv(out, _fields(percolation.SweepRow), [dataclasses.astuple(r) for r in rows])
@@ -238,12 +240,10 @@ def _cmd_search(args) -> int:
 
 def _cmd_probe(args) -> int:
     specs = [builders.parse_family_spec(s) for s in args.family]
-    ratios = [float(x) for x in args.ratios.split(",") if x.strip() != ""]
-    strategies = (
-        list(search.STRATEGIES)
-        if args.strategies == "all"
-        else [s.strip() for s in args.strategies.split(",")]
-    )
+    ratios = [float(x) for x in _split_list(args.ratios)]
+    strategies = _split_list(args.strategies)
+    if strategies == ["all"]:
+        strategies = list(search.STRATEGIES)
     records, summaries = search.conjecture_probe(
         specs,
         ratios,
@@ -416,15 +416,12 @@ def main(argv=None) -> int:
     args.full_argv = list(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"expanderlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ComputationRefused as exc:
         print(f"expanderlab: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"expanderlab: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # internal failure taxonomy for scripts
         print(f"expanderlab: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

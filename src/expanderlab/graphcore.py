@@ -276,32 +276,16 @@ def is_connected(g: Graph) -> bool:
     return UNREACHABLE not in dist
 
 
-def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
-    """Induced subgraph on `members`, relabeled 0..k-1 in ascending old order."""
-    old = sorted(set(members))
-    if not old:
-        raise ValueError("empty vertex subset")
-    for v in old:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    remap = {v: i for i, v in enumerate(old)}
-    edges = []
-    for u in old:
-        for v in g.adj[u]:
-            if u < v and v in remap:
-                edges.append((remap[u], remap[v]))
-    return from_edges(len(old), edges)
-
-
 def induced_ball(g: Graph, center: int, r: int) -> Graph:
-    """Induced subgraph on all vertices within distance r of `center`."""
+    """Induced subgraph on the vertices within r of `center`, relabeled in ascending order."""
     if not 0 <= center < g.n:
         raise ValueError(f"center {center} out of range for n={g.n}")
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     dist = bfs_distances(g.adj, center, max_depth=r)
-    members = [v for v, d in enumerate(dist) if d >= 0]
-    return induced_subgraph(g, members)
+    remap = {v: i for i, v in enumerate(v for v, d in enumerate(dist) if d >= 0)}
+    edges = [(remap[u], remap[v]) for u in remap for v in g.adj[u] if u < v and v in remap]
+    return from_edges(len(remap), edges)
 
 
 def edge_subgraph(g: Graph, keep: Iterable[tuple[int, int]]) -> Graph:

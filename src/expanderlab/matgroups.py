@@ -73,7 +73,7 @@ def make_symmetric(core, q: int) -> GeneratorSet:
     return GeneratorSet(elements=tuple(elements), core=core, modulus=q)
 
 
-def transvection_generators(q: int, k: int = 2) -> GeneratorSet:
+def transvection_generators(q: int, k: int) -> GeneratorSet:
     """The pair [[1,k],[0,1]], [[1,0],[k,1]] mod q, symmetrized.
 
     These are the k-th powers of the unit transvections. k=1 is the elementary
@@ -94,7 +94,7 @@ def transvection_generators(q: int, k: int = 2) -> GeneratorSet:
 _PAIRINGS = ("diagonal", "twisted", "mixed")
 
 
-def product_generators(gs: GeneratorSet, pairing: str = "twisted") -> GeneratorSet:
+def product_generators(gs: GeneratorSet, pairing: str) -> GeneratorSet:
     """Pair a two-element core {a, b} into product-group generators.
 
     diagonal -> {(a,a), (b,b)}; twisted -> {(a,b), (b,a)};
@@ -215,7 +215,7 @@ def generators_from_recipe(recipe: str, q: int) -> GeneratorSet:
     raise ValueError(f"unknown generator recipe {recipe!r}")
 
 
-def cayley_from_recipe(recipe: str, p: int, level: int = 1) -> CayleyResult:
+def cayley_from_recipe(recipe: str, p: int, level: int) -> CayleyResult:
     if level < 1:
         raise ValueError(f"tower level must be >= 1, got {level}")
     # Refused before p**level is computed: 3**30_000_000 alone takes 15 s on
@@ -242,7 +242,7 @@ class TowerRow:
     full_group_order: Optional[int]
 
 
-def girth_tower_report(p: int, n_max: int, recipe: str = "sanov") -> list[TowerRow]:
+def girth_tower_report(p: int, n_max: int, *, recipe: str) -> list[TowerRow]:
     """One row per tower level q = p, p^2, ..., p^n_max: size, girth, gap.
 
     Where two consecutive levels have equal degree, reduction mod p^{n-1}

@@ -451,7 +451,7 @@ class MetricsReport:
     diameter: object  # int or UNBOUNDED
 
 
-def measure(g: Graph, exact_max: int = DEFAULT_EXACT_MAX) -> MetricsReport:
+def measure(g: Graph, *, exact_max: int) -> MetricsReport:
     """Full MetricsReport; exact rationals only when n <= exact_max."""
     connected = is_connected(g)
     h = exact_h(g, exact_max)

@@ -54,7 +54,6 @@ class DisjointSet:
 @dataclass(frozen=True)
 class ComponentSummary:
     count: int
-    sizes: tuple[int, ...]  # descending
     giant_fraction: float
 
 
@@ -80,12 +79,8 @@ def component_summary(g: Graph) -> ComponentSummary:
     ds = DisjointSet(g.n)
     for u, v in g.edges():
         ds.union(u, v)
-    sizes = sorted((ds.size[v] for v in range(g.n) if ds.find(v) == v), reverse=True)
-    return ComponentSummary(
-        count=ds.count,
-        sizes=tuple(sizes),
-        giant_fraction=sizes[0] / g.n,
-    )
+    giant = max(ds.size[v] for v in range(g.n) if ds.parent[v] == v)
+    return ComponentSummary(count=ds.count, giant_fraction=giant / g.n)
 
 
 @dataclass(frozen=True)

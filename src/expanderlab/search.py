@@ -116,8 +116,6 @@ def reconnect_repair(host: Graph, sub: Graph) -> Graph:
     components at insertion time, so no cycle is created and the girth of
     `sub` is preserved exactly.
     """
-    if not is_connected(host):
-        raise ValueError("reconnect_repair requires a connected host")
     adj = [list(a) for a in sub.adj]
     ds = DisjointSet(host.n)
     for u, v in sub.edges():
@@ -129,6 +127,8 @@ def reconnect_repair(host: Graph, sub: Graph) -> Graph:
                 insort(adj[v], u)
                 if ds.count == 1:
                     break
+    if ds.count > 1:
+        raise ValueError("reconnect_repair requires a connected host")
     return Graph(host.n, tuple(map(tuple, adj)))
 
 
@@ -224,11 +224,14 @@ class SearchResult:
 
 
 def _check_request(strategies: Sequence[str], ratios: Sequence[float], budget: int) -> None:
-    """Refuse an unknown or repeated strategy, a bad or repeated ratio, or a budget below 1.
+    """Refuse an unknown or repeated strategy, an empty strategy list, a bad or repeated ratio,
+    or a budget below 1.
 
     A ratio must be > 0 with ratio * VERTEX_CAP finite: every diameter is
     below the cap, so ceil(ratio * diameter) is then an int.
     """
+    if not strategies:
+        raise ValueError("need at least one strategy")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
@@ -249,9 +252,9 @@ def search_spanning_subexpander(
     *,
     ratio: Optional[float] = None,
     girth_target: Optional[int] = None,
-    strategy: str = "trim",
-    budget: int = 10_000,
-    seed: int = 0,
+    strategy: str,
+    budget: int,
+    seed: int,
     host_spectrum: Optional[SpectrumResult] = None,
 ) -> SearchResult:
     """Run one strategy and return its re-validated best spanning candidate.
@@ -355,9 +358,10 @@ def _run_cell(cell: tuple[Graph, SpectrumResult, int, str, int, int]) -> SearchR
 def conjecture_probe(
     specs: Sequence[FamilySpec],
     ratios: Sequence[float],
-    strategies: Sequence[str] = STRATEGIES,
-    budget: int = 500,
-    seed: int = 0,
+    *,
+    strategies: Sequence[str],
+    budget: int,
+    seed: int,
 ) -> tuple[list[ProbeRecord], list[FamilySummary]]:
     """Race the strategies over instances x ratios and keep per-cell winners.
 

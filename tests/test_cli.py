@@ -583,6 +583,27 @@ class TestExitCodes:
         assert code == cli.EXIT_INPUT
         assert not out.exists()
 
+    def test_probe_empty_strategy_list_is_2_before_any_host(self, tmp_path, capsys, monkeypatch):
+        def unbuilt(spec):
+            raise AssertionError(f"built {spec}")
+
+        monkeypatch.setattr(search, "build_family", unbuilt)
+        out = tmp_path / "probe"
+        code = run(["probe", "--family", "cycle:n=10", "--ratios", "0.5", "--strategies", ",",
+                    "--out-dir", out])
+        assert code == cli.EXIT_INPUT
+        assert "need at least one strategy" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategies", ["trim", "all"])
+    def test_probe_ignores_a_blank_strategy_entry(self, tmp_path, strategies):
+        for given in (strategies, strategies + ","):
+            assert run(["probe", "--family", "cycle:n=10", "--ratios", "0.5", "--strategies",
+                        given, "--budget", 10, "--out-dir", tmp_path / given]) == 0
+        for name in ("probe.csv", "probe_summary.json"):
+            blank, plain = tmp_path / (strategies + ",") / name, tmp_path / strategies / name
+            assert blank.read_bytes() == plain.read_bytes()
+
     @pytest.mark.parametrize(
         "first, second",
         [

@@ -15,7 +15,6 @@ from expanderlab.graphcore import (
     from_edges,
     graph_fingerprint,
     induced_ball,
-    induced_subgraph,
     is_connected,
     pair_distance,
     read_edge_list_text,
@@ -292,24 +291,21 @@ class TestConnectivity:
 
 
 class TestInducedSubgraph:
+    # the subgraph `induced_ball` builds on the ball's vertex set
     def test_path_from_c6(self):
-        assert induced_subgraph(cycle(6), {0, 1, 2}) == from_edges(3, [(0, 1), (1, 2)])
+        assert induced_ball(cycle(6), 1, 1) == from_edges(3, [(0, 1), (1, 2)])
 
     def test_relabels_in_ascending_old_order(self):
-        # 0 -> 0, 1 -> 1, 5 -> 2: the edges (0, 1) and (0, 5) of C6
-        assert induced_subgraph(cycle(6), {5, 1, 0}) == from_edges(3, [(0, 1), (0, 2)])
+        # the ball {5, 0, 1}: 0 -> 0, 1 -> 1, 5 -> 2, so the edges (0, 1) and (0, 5) of C6
+        assert induced_ball(cycle(6), 0, 1) == from_edges(3, [(0, 1), (0, 2)])
 
     def test_full_subset_identity(self):
         g = cycle(7)
-        assert induced_subgraph(g, range(7)) == g
+        assert induced_ball(g, 0, 3) == g
 
     def test_singleton(self):
-        sub = induced_subgraph(cycle(5), {2})
+        sub = induced_ball(from_edges(3, [(0, 1)]), 2, 4)  # an isolated centre
         assert sub.n == 1 and sub.m == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            induced_subgraph(cycle(5), set())
 
 
 class TestInducedBall:
@@ -346,7 +342,12 @@ class TestInducedBall:
                 full = bfs_distances(g.adj, center)
                 for r in range(4):
                     members = [v for v, d in enumerate(full) if 0 <= d <= r]
-                    assert induced_ball(g, center, r) == induced_subgraph(g, members)
+                    index = {v: i for i, v in enumerate(members)}
+                    expected = from_edges(
+                        len(members),
+                        [(index[u], index[v]) for u, v in g.edges() if u in index and v in index],
+                    )
+                    assert induced_ball(g, center, r) == expected
 
 
 class TestEdgeSubgraph:

@@ -8,7 +8,10 @@ defines at top level is read outside `tests/`: loaded as a name or an
 attribute in `src/`, mentioned in `bench/*.py`, or named by the console
 script in `pyproject.toml`. No `src/` module binds a top-level name with a
 lowercase letter (dunders excepted): module-level values are UPPER_CASE
-constants, so no module holds state that a call can change.
+constants, so no module holds state that a call can change. No top-level
+`src/` function gives a non-None default to a parameter that every `src/`
+call of it passes: a default that nothing relies on states its value a
+second time, beside the one its callers set.
 """
 
 import ast
@@ -99,6 +102,41 @@ def unread_public_names(sources: dict[str, str], other_text: str) -> list[str]:
     ]
 
 
+def unrelied_defaults(sources: dict[str, str]) -> list[str]:
+    """Non-None defaults of top-level functions in `sources` that every direct call overrides.
+
+    A direct call names the function, as `f(...)` or `m.f(...)`, anywhere in
+    `sources` and passes the parameter by position or by keyword. A function
+    that no call names is skipped. A None default means "absent" and is exempt.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(name, []).append(n)
+    found = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in calls:
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            defaults += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for param, default in defaults:
+                if isinstance(default, ast.Constant) and default.value is None:
+                    continue
+                at = positional.index(param) if param in positional else len(positional)
+                if all(
+                    at < len(c.args) or any(k.arg == param.arg for k in c.keywords)
+                    for c in calls[node.name]
+                ):
+                    found.append(f"{file} line {node.lineno}: {node.name}({param.arg})")
+    return found
+
+
 def test_check_sees_unused_names():
     source = "import os, a.b\nfrom x import y as z, w\nfrom __future__ import annotations\nw()\n"
     assert unused_imports(source) == ["line 1: os", "line 1: a", "line 2: z"]
@@ -158,3 +196,23 @@ def test_check_sees_module_state():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_state(path):
     assert module_state(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_unrelied_defaults():
+    sources = {
+        "a.py": (
+            "def f(x, k=2, *, s='t', n=None, b=1):\n    pass\n"
+            "def g(y=0):\n    pass\n"
+            "def h(z=0, w=()):\n    pass\n"
+            "def _unused(v=1):\n    pass\n"
+        ),
+        "b.py": "import a\na.f(1, 3, s='u', n=4)\nf(0, k=5, s='v')\ng(1)\ng()\nh(1, w=2)\n",
+    }
+    assert unrelied_defaults(sources) == [
+        "a.py line 1: f(k)", "a.py line 1: f(s)", "a.py line 5: h(z)", "a.py line 5: h(w)"
+    ]
+
+
+def test_every_default_is_relied_on():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    assert unrelied_defaults(sources) == []

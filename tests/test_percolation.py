@@ -76,17 +76,25 @@ class TestComponentSummary:
         g = named_graph("cycle", 7)
         summary = component_summary(percolate(g, 0.0, 0))
         assert summary.count == 7
-        assert summary.sizes == (1,) * 7
+        assert summary.giant_fraction == 1 / 7
 
     def test_c4_two_opposite_edges(self):
         summary = component_summary(from_edges(4, [(0, 1), (2, 3)]))
-        assert summary.count == 2 and summary.sizes == (2, 2)
+        assert summary.count == 2 and summary.giant_fraction == 0.5
 
     def test_sizes_sum_to_n(self):
         g = random_regular(24, 4, seed=5)
         for seed in range(10):
-            summary = component_summary(percolate(g, 0.4, seed))
-            assert sum(summary.sizes) == g.n
+            sample = percolate(g, 0.4, seed)
+            sizes, seen = [], set()
+            for v in range(g.n):
+                if v not in seen:
+                    comp = {w for w, d in enumerate(oracles.bfs_distances(sample.adj, v)) if d >= 0}
+                    seen |= comp
+                    sizes.append(len(comp))
+            assert sum(sizes) == g.n
+            summary = component_summary(sample)
+            assert (summary.count, summary.giant_fraction) == (len(sizes), max(sizes) / g.n)
 
 
 class TestConditionCheck:

@@ -437,14 +437,15 @@ class TestProbe:
 
     def test_deterministic(self):
         specs = [parse_family_spec("random-regular:n=20,d=4,seed=3")]
-        a = conjecture_probe(specs, [0.25, 0.5], budget=100, seed=9)
-        b = conjecture_probe(specs, [0.25, 0.5], budget=100, seed=9)
+        a = conjecture_probe(specs, [0.25, 0.5], strategies=STRATEGIES, budget=100, seed=9)
+        b = conjecture_probe(specs, [0.25, 0.5], strategies=STRATEGIES, budget=100, seed=9)
         assert a == b
 
     def test_winner_meets_target_when_any_does(self):
         records, _ = conjecture_probe(
             [parse_family_spec("random-regular:n=16,d=4,seed=5")],
             ratios=[0.5],
+            strategies=STRATEGIES,
             budget=150,
             seed=2,
         )
@@ -468,7 +469,8 @@ class TestProbe:
         # a repeat would run one cell twice and score a single instance as two
         with pytest.raises(ValueError, match="repeated"):
             conjecture_probe(
-                [parse_family_spec(f) for f in families], ratios, strategies=strategies
+                [parse_family_spec(f) for f in families], ratios, strategies=strategies,
+                budget=10, seed=0,
             )
 
     def test_pool_cells_equal_direct_searches(self):
@@ -476,7 +478,7 @@ class TestProbe:
         specs = [parse_family_spec("random-regular:n=20,d=4,seed=3"),
                  parse_family_spec("cycle:n=12")]
         ratios = [0.25, 0.5]
-        records, _ = conjecture_probe(specs, ratios, budget=100, seed=9)
+        records, _ = conjecture_probe(specs, ratios, strategies=STRATEGIES, budget=100, seed=9)
         assert multiprocessing.active_children() == []
         assert len(records) == len(specs) * len(ratios)
         for k, rec in enumerate(records):
@@ -508,7 +510,10 @@ class TestProbe:
 
         monkeypatch.setattr(search, "search_spanning_subexpander", refuse)
         with pytest.raises(ComputationRefused, match="refused in a cell"):
-            conjecture_probe([parse_family_spec("cycle:n=10")], [0.25, 0.5], budget=10)
+            conjecture_probe(
+                [parse_family_spec("cycle:n=10")], [0.25, 0.5], strategies=STRATEGIES, budget=10,
+                seed=0,
+            )
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
@@ -518,6 +523,7 @@ class TestProbe:
             pytest.param([0.5], ("trim", "magic"), 10, "unknown strategy 'magic'", id="strategy"),
             pytest.param([0.5, 0.25, 0.5], STRATEGIES, 10, "repeated ratio 0.5", id="repeat"),
             pytest.param([0.5, 1e308], STRATEGIES, 10, r"finite, got 1e\+308", id="overflow"),
+            pytest.param([0.5], (), 10, "need at least one strategy", id="no-strategy"),
         ],
     )
     def test_bad_request_refused_before_any_host_is_built(
@@ -529,14 +535,16 @@ class TestProbe:
         monkeypatch.setattr(search, "build_family", unbuilt)
         with pytest.raises(ValueError, match=match):
             conjecture_probe(
-                [parse_family_spec("cycle:n=10")], ratios, strategies=strategies, budget=budget
+                [parse_family_spec("cycle:n=10")], ratios, strategies=strategies, budget=budget,
+                seed=0,
             )
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            conjecture_probe([], [0.5])
+            conjecture_probe([], [0.5], strategies=STRATEGIES, budget=10, seed=0)
         for strategy in ("magic", "anneal"):
             with pytest.raises(ValueError, match="strategy"):
                 conjecture_probe(
-                    [parse_family_spec("cycle:n=5")], [0.5], strategies=(strategy,)
+                    [parse_family_spec("cycle:n=5")], [0.5], strategies=(strategy,), budget=10,
+                    seed=0,
                 )
