@@ -38,6 +38,19 @@ CASES = {
             "--out-dir", "probe",
         ],
     ],
+    "probe-sanov": [
+        # c > 1 on Sanov hosts: targets 9 and 12 lie past the diameters 6 and 8
+        [
+            "probe",
+            "--family", "cayley:recipe=sanov,p=5",
+            "--family", "cayley:recipe=sanov,p=3,level=2",
+            "--ratios", "1.5",
+            "--strategies", "all",
+            "--budget", "300",
+            "--seed", "7",
+            "--out-dir", "probe",
+        ],
+    ],
     "tower": [["tower", "--p", "3", "--levels", "2", "-o", "tower.csv"]],
     "sweep-measure": [
         ["gen", RR128, "-o", "rr128.el"],
@@ -211,6 +224,12 @@ GOLDEN = {
             "02f051fedd855272c0d4113f3009ac3835695b2fc474b5e17b6a23fce7754f68",
         "probe/probe_summary.json":
             "252778904cc25847c4ec3a3e009b6dec9fef4a1cadced1106dfe787a76693526",
+    },
+    "probe-sanov": {
+        "probe/probe.csv":
+            "456f718ff15efecbf6ebdc719cf7caca811770f10b2a9360695d5d6c2316540d",
+        "probe/probe_summary.json":
+            "14d041a79dc34981bfc1f1dbec3d993a6b9ea0fd0bf87c61f5d0debee4caa08f",
     },
     "reference-kinds": {
         "c3xpetersen.el":
