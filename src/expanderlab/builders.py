@@ -39,6 +39,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     expecting more than _REGULAR_RETRY_CAP samples (every d >= 7) is refused
     before the first one is drawn.
     """
+    graphcore.check_size(n, n * d // 2)
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if (n * d) % 2 != 0:
@@ -77,18 +78,17 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 def graph_power(g: Graph, k: int) -> Graph:
     """G^k: same vertices, edge {u,v} iff 1 <= dist_g(u,v) <= k.
 
-    Level k of `graphcore.reach_levels` (or its last level, if it stops
-    sooner) holds each vertex's sources within distance k; the sources below
-    a vertex are its edges to them. The running edge count is checked
-    against the cap before each vertex's edges are emitted.
+    Level k of each block of `graphcore.reach_blocks` (or its last level, if
+    it stops sooner) holds each vertex's sources within distance k; the
+    sources below a vertex are its edges to them. The running edge count is
+    checked against the cap before each vertex's edges are emitted.
     """
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
     n = g.n
     edges = []
-    for lo in range(0, n, graphcore.REACH_BLOCK):
-        hi = min(lo + graphcore.REACH_BLOCK, n)
-        for d, reach in enumerate(graphcore.reach_levels(g.adj, lo, hi)):
+    for lo, hi, levels in graphcore.reach_blocks(g.adj):
+        for d, reach in enumerate(levels):
             if d == k:
                 break
         for v in range(lo + 1, n):
@@ -124,10 +124,12 @@ def named_graph(kind: str, n: Optional[int] = None) -> Graph:
     if kind == "cycle":
         if n is None or n < 3:
             raise ValueError(f"cycle needs n >= 3, got {n}")
+        graphcore.check_size(n, n)
         return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "complete":
         if n is None or n < 1:
             raise ValueError(f"complete needs n >= 1, got {n}")
+        graphcore.check_size(n, n * (n - 1) // 2)
         return from_edges(n, itertools.combinations(range(n), 2))
     if kind == "petersen":
         # Kneser graph K(5,2): vertices are 2-subsets of {0..4}, disjoint pairs adjacent
@@ -158,8 +160,7 @@ _KEY_ORDER = {
 }
 
 
-# values of the keys a spec may leave out; `build_family` and
-# `with_defaults` both read them
+# values of the keys a spec may leave out; `with_defaults` fills them in
 _DEFAULTS = {
     "random-regular": {"seed": 0},
     "cayley": {"recipe": "elementary", "level": 1},
@@ -275,16 +276,12 @@ class BuildResult:
 
 
 def build_family(spec: FamilySpec) -> BuildResult:
-    """Construct the graph a FamilySpec describes."""
-    kind, p = spec.kind, {**_DEFAULTS.get(spec.kind, {}), **spec.params}
+    """Construct the graph a FamilySpec describes; each constructor refuses its own size."""
+    kind, p = spec.kind, with_defaults(spec).params
     if kind == "random-regular":
-        graphcore.check_size(p["n"], p["n"] * p["d"] // 2)
         return BuildResult(random_regular(p["n"], p["d"], p["seed"]))
-    if kind in ("cycle", "complete"):
-        graphcore.check_size(p["n"], p["n"] if kind == "cycle" else p["n"] * (p["n"] - 1) // 2)
-        return BuildResult(named_graph(kind, p["n"]))
-    if kind == "petersen":
-        return BuildResult(named_graph("petersen"))
+    if kind in ("cycle", "complete", "petersen"):
+        return BuildResult(named_graph(kind, p.get("n")))
     if kind == "cayley":
         result = matgroups.cayley_from_recipe(p["recipe"], p["p"], p["level"])
         return BuildResult(result.graph, elements=result.elements)

@@ -24,7 +24,7 @@ UNREACHABLE = -1
 VERTEX_CAP = 4_000_000
 #: Largest edge count a family may ask for; refused before anything is built.
 EDGE_CAP = 2 * VERTEX_CAP
-#: Sources per pass of `reach_levels`: each per-vertex bitset list then takes
+#: Sources per block of `reach_blocks`: each per-vertex bitset list then takes
 #: n * REACH_BLOCK / 8 bytes.
 REACH_BLOCK = 4096
 
@@ -182,14 +182,22 @@ def pair_distance(
     return UNREACHABLE
 
 
-def reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[list[int]]:
-    """Yield reach for d = 0, 1, ...: bit s - lo of reach[v] is set iff dist(v, s) <= d.
+def reach_blocks(adj: Sequence[Iterable[int]]) -> Iterator[tuple[int, int, Iterator[list[int]]]]:
+    """Yield (lo, hi, levels) for each block lo..hi-1 of REACH_BLOCK sources.
 
-    All-sources bit-parallel BFS (Itai and Rodeh) from the sources lo..hi-1:
-    one level ORs each vertex's neighbours' sets into its own. It stops after
-    the level at which every set is full, or before a level at which none
-    would grow. Each level is a new list, so a caller may keep any of them.
+    All-sources bit-parallel BFS (Itai and Rodeh): `levels` yields reach for
+    d = 0, 1, ...; bit s - lo of reach[v] is set iff dist(v, s) <= d. It stops
+    after the level at which every set is full, or before a level at which
+    none would grow. Each level is a new list, so a caller may keep any of them.
     """
+    n = len(adj)
+    for lo in range(0, n, REACH_BLOCK):
+        hi = min(lo + REACH_BLOCK, n)
+        yield lo, hi, _reach_levels(adj, lo, hi)
+
+
+def _reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[list[int]]:
+    """One block's levels: each ORs every vertex's neighbours' sets into its own."""
     n = len(adj)
     full = (1 << (hi - lo)) - 1
     reach = [1 << (v - lo) if lo <= v < hi else 0 for v in range(n)]

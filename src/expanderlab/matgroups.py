@@ -195,23 +195,19 @@ def cayley_graph(gens: GeneratorSet) -> CayleyResult:
 
 
 def generators_from_recipe(recipe: str, q: int) -> GeneratorSet:
-    """Named recipes: `sanov`, `elementary`, `transvections[:<k>]`,
-    `product:<pairing>[:<base>]`."""
-    if recipe == "sanov":
-        return transvection_generators(q, 2)
-    if recipe == "elementary":
-        return transvection_generators(q, 1)
-    if recipe == "transvections" or recipe.startswith("transvections:"):
-        parts = recipe.split(":")
-        k = int(parts[1]) if len(parts) > 1 and parts[1] else 2
-        return transvection_generators(q, k)
-    if recipe.startswith("product:"):
-        parts = recipe.split(":")
-        pairing = parts[1] if len(parts) > 1 and parts[1] else "twisted"
-        base = parts[2] if len(parts) > 2 else "sanov"
+    """`transvections[:<k>]` (k = 2), its aliases `sanov` (k = 2) and `elementary` (k = 1),
+    and `product:[<pairing>][:<base>]` (twisted over sanov), whose base is all that
+    follows the pairing. A field no recipe reads is refused, not dropped."""
+    aliases = {"sanov": "transvections:2", "elementary": "transvections:1"}
+    kind, colon, rest = aliases.get(recipe, recipe).partition(":")
+    if kind == "transvections":
+        return transvection_generators(q, int(rest) if rest else 2)
+    if kind == "product" and colon:
+        pairing, has_base, base = rest.partition(":")
         if base.startswith("product"):
             raise ValueError("product recipes cannot nest")
-        return product_generators(generators_from_recipe(base, q), pairing)
+        base_gens = generators_from_recipe(base if has_base else "sanov", q)
+        return product_generators(base_gens, pairing or "twisted")
     raise ValueError(f"unknown generator recipe {recipe!r}")
 
 

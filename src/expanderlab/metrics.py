@@ -372,17 +372,15 @@ def girth(g: Graph, vertex_transitive: bool = False):
 def diameter(g: Graph):
     """Max eccentricity; UNBOUNDED (math.inf) if the graph is disconnected.
 
-    Counts the levels of `graphcore.reach_levels` over each block of
-    REACH_BLOCK sources: a block's largest eccentricity is its last level,
-    and a last level with a set that is not full leaves some pair unreachable.
+    Counts the levels of each block of `graphcore.reach_blocks`: a block's
+    largest eccentricity is its last level, and a last level with a set that
+    is not full leaves some pair unreachable.
     """
-    n = g.n
     worst = 0
-    for lo in range(0, n, graphcore.REACH_BLOCK):
-        hi = min(lo + graphcore.REACH_BLOCK, n)
-        for d, reach in enumerate(graphcore.reach_levels(g.adj, lo, hi)):
+    for lo, hi, levels in graphcore.reach_blocks(g.adj):
+        for d, reach in enumerate(levels):
             pass
-        if reach.count((1 << (hi - lo)) - 1) < n:
+        if reach.count((1 << (hi - lo)) - 1) < g.n:
             return UNBOUNDED
         worst = max(worst, d)
     return worst

@@ -136,20 +136,19 @@ def _far_candidates(host: Graph, sub: Graph, need: int) -> list[tuple]:
     """(-dist_sub(u, v), u, v) for the host edges u < v not in the connected
     `sub` and at least `need` apart in it.
 
-    Runs `graphcore.reach_levels` over blocks of sources u, with each v's
-    candidates as a bitmask of u's: the bits set by level need - 1 are too
-    close, and a bit first set at a later level d is a pair at distance d.
+    Reads `graphcore.reach_blocks` over sources u, with each v's candidates
+    as a bitmask of u's: the bits set by level need - 1 are too close, and a
+    bit first set at a later level d is a pair at distance d.
     """
     cand: dict[int, int] = {}
     for u, v in host.edges():
         if not sub.has_edge(u, v):
             cand[v] = cand.get(v, 0) | 1 << u
     out = []
-    for lo in range(0, host.n, graphcore.REACH_BLOCK):
-        hi = min(lo + graphcore.REACH_BLOCK, host.n)
+    for lo, hi, levels in graphcore.reach_blocks(sub.adj):
         block = (1 << (hi - lo)) - 1
         pending = {v: c >> lo & block for v, c in cand.items() if c >> lo & block}
-        for d, reach in enumerate(graphcore.reach_levels(sub.adj, lo, hi)):
+        for d, reach in enumerate(levels):
             if not pending:
                 break
             if d < need - 1:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import graphcore, metrics
+from expanderlab import builders, graphcore, metrics
 from expanderlab.builders import (
     base_family_id,
     build_family,
@@ -183,6 +183,33 @@ class TestNamedGraph:
             named_graph("cycle", 2)
         with pytest.raises(ValueError):
             named_graph("moebius")
+
+
+class TestConstructorsRefuseTheirOwnSize:
+    """A library call is refused as the CLI's is: before anything is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("constructor allocated for a refused size")
+
+        monkeypatch.setattr(builders, "from_edges", unreachable)
+        monkeypatch.setattr(builders, "Stream", unreachable)
+
+    @pytest.mark.parametrize(
+        "kind, n, cap", [("complete", 6, "EDGE_CAP"), ("cycle", 11, "VERTEX_CAP")]
+    )
+    def test_named_graph(self, monkeypatch, kind, n, cap):
+        monkeypatch.setattr(graphcore, cap, 10)
+        with pytest.raises(ComputationRefused, match="exceed the cap of 10"):
+            named_graph(kind, n)
+
+    # n=11, d=3 has an odd stub count: its size is refused before its parity
+    @pytest.mark.parametrize("n, d, cap", [(20, 4, "EDGE_CAP"), (11, 3, "VERTEX_CAP")])
+    def test_random_regular(self, monkeypatch, n, d, cap):
+        monkeypatch.setattr(graphcore, cap, 10)
+        with pytest.raises(ComputationRefused, match="exceed the cap of 10"):
+            random_regular(n, d, seed=1)
 
 
 class TestFamilySpec:

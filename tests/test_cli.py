@@ -408,10 +408,11 @@ class TestExitCodes:
         assert "20000 vertices exceed the cap" in capsys.readouterr().err
 
         def unreachable(*args):
-            raise AssertionError("builder ran for a refused vertex count")
+            raise AssertionError("constructor allocated for a refused vertex count")
 
-        monkeypatch.setattr(builders, "random_regular", unreachable)
-        monkeypatch.setattr(builders, "named_graph", unreachable)
+        # each constructor refuses its own size before its first allocation
+        monkeypatch.setattr(builders, "from_edges", unreachable)
+        monkeypatch.setattr(builders, "Stream", unreachable)
         for spec in ("random-regular:n=1001,d=4", "cycle:n=1001", "complete:n=1001"):
             assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
         assert not out.exists()
@@ -423,10 +424,10 @@ class TestExitCodes:
     def test_family_edge_cap_checked_before_building(self, tmp_path, capsys, monkeypatch,
                                                     spec, edges):
         def unreachable(*args):
-            raise AssertionError("builder ran for a refused edge count")
+            raise AssertionError("constructor allocated for a refused edge count")
 
-        monkeypatch.setattr(builders, "random_regular", unreachable)
-        monkeypatch.setattr(builders, "named_graph", unreachable)
+        monkeypatch.setattr(builders, "from_edges", unreachable)
+        monkeypatch.setattr(builders, "Stream", unreachable)
         out = tmp_path / "g.el"
         assert run(["gen", spec, "-o", out]) == cli.EXIT_REFUSED
         assert f"{edges} edges exceed the cap" in capsys.readouterr().err
@@ -470,6 +471,17 @@ class TestExitCodes:
                 assert got == code
         assert not (tmp_path / "s.el").exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("recipe", ["transvections:3:9", "product:twisted:sanov:junk"])
+    def test_recipe_with_a_field_left_over_is_2(self, tmp_path, recipe, capsys):
+        # refused, not read as transvections:3 or product:twisted:sanov
+        out = tmp_path / "c.el"
+        assert run(["gen", f"cayley:recipe={recipe},p=7", "-o", out]) == cli.EXIT_INPUT
+        tower = tmp_path / "t.csv"
+        argv = ["tower", "--p", 3, "--levels", 1, "--recipe", recipe, "-o", tower]
+        assert run(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.count("input error") == 2
+        assert not out.exists() and not tower.exists()
 
     def test_tower_refused_is_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(matgroups, "ORDER_CAP", 50)

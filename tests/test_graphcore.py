@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,6 +278,35 @@ class TestShortestCycleScan:
                 reconstruct_cycle(g.adj, g.n, cyc[0], length)
         if not rooted:
             assert length == oracle
+
+
+class TestReachBlocks:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data(), st.integers(1, 14), st.sampled_from([1, 3, 4096]))
+    def test_levels_are_bfs_balls(self, data, n, block):
+        # disconnected graphs included; blocks below n split the sources
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+        )
+        g = from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        dist = [bfs_distances(g.adj, s) for s in range(n)]
+        with mock.patch.object(graphcore, "REACH_BLOCK", block):
+            blocks = [(lo, hi, list(levels)) for lo, hi, levels in graphcore.reach_blocks(g.adj)]
+        assert [(lo, hi) for lo, hi, _ in blocks] == [
+            (lo, min(lo + block, n)) for lo in range(0, n, block)
+        ]
+        for lo, hi, levels in blocks:
+            # each level is a new list, so the ones kept above are unchanged
+            assert len({id(reach) for reach in levels}) == len(levels)
+            for d, reach in enumerate(levels):
+                assert reach == [
+                    sum(1 << (s - lo) for s in range(lo, hi) if 0 <= dist[s][v] <= d)
+                    for v in range(n)
+                ]
+            # Levels grow until the farthest reachable pair, D apart: there every
+            # set is full if the block reaches all, and otherwise none would grow.
+            # So the last level is D, whichever way the iteration stops.
+            assert len(levels) - 1 == max(dist[s][v] for s in range(lo, hi) for v in range(n))
 
 
 class TestConnectivity:

@@ -238,11 +238,38 @@ class TestRecipes:
         with pytest.raises(ValueError, match="collapses"):
             transvection_generators(3, 3)
 
+    def test_empty_fields_keep_their_defaults(self):
+        sanov, elementary = transvection_generators(7, 2), transvection_generators(7, 1)
+        assert generators_from_recipe("transvections:", 7) == sanov
+        assert generators_from_recipe("product:", 7) == product_generators(sanov, "twisted")
+        assert generators_from_recipe("product::elementary", 7) == product_generators(
+            elementary, "twisted"
+        )
+
+    def test_product_base_keeps_its_own_power(self):
+        assert generators_from_recipe("product:twisted:transvections:3", 7) == product_generators(
+            transvection_generators(7, 3), "twisted"
+        )
+
     def test_unknown_recipe(self):
         with pytest.raises(ValueError, match="recipe"):
             generators_from_recipe("lps", 5)
         with pytest.raises(ValueError, match="nest"):
             generators_from_recipe("product:twisted:product", 5)
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            # a field no recipe reads
+            "transvections:3:9", "transvections:3:", "product:twisted:sanov:junk",
+            "product:diagonal:elementary:", "sanov:", "elementary:1",
+            # refused before any field was read one way
+            "product", "product:twisted:", "product:bogus", "transvections:x", "",
+        ],
+    )
+    def test_malformed_recipe_refused(self, recipe):
+        with pytest.raises(ValueError):
+            generators_from_recipe(recipe, 7)
 
     def test_cayley_from_recipe_level(self):
         res = cayley_from_recipe("sanov", 3, 2)
