@@ -105,9 +105,8 @@ def bfs_distances(
 ) -> list[int]:
     """Unweighted distances from `source` over an adjacency sequence.
 
-    `adj` is `Graph.adj` or any working adjacency (lists or sets). The BFS
-    stops after `max_depth` layers; every vertex it did not label holds
-    UNREACHABLE.
+    `adj` is `Graph.adj` or any adjacency lists. The BFS stops after
+    `max_depth` layers; every vertex it did not label holds UNREACHABLE.
     """
     n = len(adj)
     if not 0 <= source < n:
@@ -230,6 +229,8 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=math.inf, roots=None
     root may be missed, and from a root on no shortest cycle the list may be a
     closed walk rather than a simple cycle: a triangle with a three-edge tail,
     scanned from the tail's end, gives a walk of 9 down the tail and back.
+    `below` is a lower bound on the girth asked for: every simple graph meets
+    3 or less, so such a bound returns None after the first root.
     """
     n = len(adj)
     best = below
@@ -273,7 +274,7 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=math.inf, roots=None
                                 w = parent[w]
             frontier = nxt
             du += 1
-        if best == 3:
+        if best <= 3:
             break
     return None if cycle is None else (best, cycle)
 

@@ -201,7 +201,9 @@ def generators_from_recipe(recipe: str, q: int) -> GeneratorSet:
     aliases = {"sanov": "transvections:2", "elementary": "transvections:1"}
     kind, colon, rest = aliases.get(recipe, recipe).partition(":")
     if kind == "transvections":
-        return transvection_generators(q, int(rest) if rest else 2)
+        if rest and not (rest.isascii() and rest.isdigit()):
+            raise ValueError(f"recipe {recipe!r}: power must be digits 0-9, got {rest!r}")
+        return transvection_generators(q, int(rest or 2))
     if kind == "product" and colon:
         pairing, has_base, base = rest.partition(":")
         if base.startswith("product"):

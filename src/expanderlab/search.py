@@ -79,9 +79,8 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
     smallest pair. Cycle edges never disconnect, so connectivity of the
     input is preserved; the vertex set always is. Removals keep the working
     lists sorted, so the result is frozen from them without re-validation.
+    The target is a lower bound, so one of 3 or less returns `g` unchanged.
     """
-    if target < 3:
-        raise ValueError(f"girth target must be >= 3, got {target}")
     n = g.n
     adj = [list(a) for a in g.adj]
     while True:
@@ -120,13 +119,12 @@ def reconnect_repair(host: Graph, sub: Graph) -> Graph:
     ds = DisjointSet(host.n)
     for u, v in sub.edges():
         ds.union(u, v)
-    if ds.count > 1:
-        for u, v in host.edges():
-            if ds.union(u, v):
-                insort(adj[u], v)
-                insort(adj[v], u)
-                if ds.count == 1:
-                    break
+    for u, v in host.edges():
+        if ds.count == 1:
+            break
+        if ds.union(u, v):
+            insort(adj[u], v)
+            insort(adj[v], u)
     if ds.count > 1:
         raise ValueError("reconnect_repair requires a connected host")
     return Graph(host.n, tuple(map(tuple, adj)))
@@ -181,10 +179,9 @@ def augment_edges(host: Graph, sub: Graph, girth_floor: int, budget: int) -> Gra
     queued. A popped pair is re-measured by a bidirectional BFS capped at
     depth stored - 1: the current distance is at most the stored one, so
     finding nothing within that depth means it still equals the stored one,
-    and the deepest layer is never expanded.
+    and the deepest layer is never expanded. No pair is closer than 2, so a
+    floor of 3 or less adds exactly what floor 3 adds.
     """
-    if girth_floor < 3:
-        raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
     if not is_connected(sub):
         raise ValueError("augment_edges requires a connected subgraph")
     adj = [list(a) for a in sub.adj]
@@ -269,18 +266,17 @@ def search_spanning_subexpander(
         raise ValueError("search requires a connected host")
     if girth_target is None:
         girth_target = math.ceil(ratio * diameter(host))
-    target_eff = max(girth_target, 3)  # girth >= 3 holds vacuously for any target below
 
     if strategy == "trim":
-        out = trim_to_girth(host, target_eff)
+        out = trim_to_girth(host, girth_target)
         iterations = host.m - out.m
     else:  # percolate-repair
         spec = host_spectrum if host_spectrum is not None else spectrum(host)
         # rho_star > 0: the walk operator has trace 0, so it is not all zeros
         p = min(1.0, 1.0 / (spec.rho_star * host.max_degree))
         repaired = reconnect_repair(host, percolate(host, p, split(seed, _PHASE_PERC)))
-        augmented = augment_edges(host, repaired, target_eff, budget)
-        out = trim_to_girth(augmented, target_eff)
+        augmented = augment_edges(host, repaired, girth_target, budget)
+        out = trim_to_girth(augmented, girth_target)
         iterations = 2 * augmented.m - repaired.m - out.m
 
     sub = edge_subgraph(host, out.edge_set())
@@ -393,13 +389,13 @@ def conjecture_probe(
     first: dict[Graph, str] = {}  # graph -> the instance that built it, for repeats
     for spec in specs:
         key = canonical_spec_string(spec)
-        reuse = with_defaults(spec.params["inner"]) if spec.kind == "power" else None
-        inner = None if reuse is None else built.get(canonical_spec_string(reuse))
-        g = build_family(spec).graph if inner is None else graph_power(inner, spec.params["k"])
+        full = with_defaults(spec)
+        inner = spec.kind == "power" and built.get(canonical_spec_string(full.params["inner"]))
+        g = graph_power(inner, spec.params["k"]) if inner else build_family(spec).graph
         if g in first:
             raise ValueError(f"repeated instance {key!r}: builds the same graph as {first[g]!r}")
         first[g] = key
-        built[canonical_spec_string(with_defaults(spec))] = g
+        built[canonical_spec_string(full)] = g
         if not is_connected(g):
             raise ValueError(f"family instance {key!r} is not connected")
         spec_res = spectrum(g)
@@ -425,12 +421,12 @@ def conjecture_probe(
     for spec, key, g, spec_res, d_host, h_host in hosts:
         for c in ratios:
             target = math.ceil(c * d_host)
-            runs = [(strat, next(results)) for strat in strategies]
-            meeting = [(s, r) for s, r in runs if _meets(r, target)]
+            runs = [next(results) for _ in strategies]
+            meeting = [r for r in runs if _meets(r, target)]
             if meeting:
-                strat, best = min(meeting, key=lambda sr: (-sr[1].gap, sr[0]))
+                best = min(meeting, key=lambda r: (-r.gap, r.strategy))
             else:
-                strat, best = min(runs, key=lambda sr: (-sr[1].girth_achieved, -sr[1].gap, sr[0]))
+                best = min(runs, key=lambda r: (-r.girth_achieved, -r.gap, r.strategy))
             records.append(
                 ProbeRecord(
                     family=base_family_id(spec),
@@ -443,7 +439,7 @@ def conjecture_probe(
                     diameter=d_host,
                     c=c,
                     girth_target=target,
-                    strategy=strat,
+                    strategy=best.strategy,
                     best_girth=best.girth_achieved,
                     best_gap=best.gap,
                     best_h_exact=best.h_exact,

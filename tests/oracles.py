@@ -340,8 +340,6 @@ def augment_edges_reference(
     budget: int,
 ) -> frozenset[tuple[int, int]]:
     """`search.augment_edges` with one target-stopped BFS per distance."""
-    if girth_floor < 3:
-        raise ValueError(f"girth floor must be >= 3, got {girth_floor}")
     kept = set(edge_subgraph(host, sub).edges())
     n = host.n
     adj: list[list[int]] = [[] for _ in range(n)]

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 import time
@@ -181,6 +182,15 @@ class TestTrimSearch:
         save_graph(named_graph("cycle", 6), path)
         out = tmp_path / "t.el"
         assert run(["trim", path, "--girth", 6, "-o", out]) == 0
+        assert out.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("girth", [-1, 0, 1, 2, 3])
+    def test_trim_target_of_three_or_less_writes_the_input(self, tmp_path, girth):
+        # a girth target is a lower bound, and every simple graph meets 3
+        path = tmp_path / "k4.el"
+        save_graph(named_graph("complete", 4), path)
+        out = tmp_path / "t.el"
+        assert run(["trim", path, "--girth", girth, "-o", out]) == 0
         assert out.read_bytes() == path.read_bytes()
 
     def test_search_report(self, tmp_path):
@@ -483,6 +493,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("input error") == 2
         assert not out.exists() and not tower.exists()
 
+    @pytest.mark.parametrize(
+        "recipe",
+        ["transvections:3_0", "transvections: 3", "transvections:+3", "transvections:\u0663",
+         "transvections:x"],
+    )
+    def test_transvection_power_outside_ascii_digits_is_2(self, tmp_path, recipe, capsys):
+        # int() would read these as k = 30, 3, 3, 3 or fail with its own message
+        out = tmp_path / "c.el"
+        assert run(["gen", f"cayley:recipe={recipe},p=7", "-o", out]) == cli.EXIT_INPUT
+        tower = tmp_path / "t.csv"
+        argv = ["tower", "--p", 7, "--levels", 1, "--recipe", recipe, "-o", tower]
+        assert run(argv) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count(f"recipe {recipe!r}: power must be digits 0-9") == 2
+        assert not out.exists() and not tower.exists()
+
     def test_tower_refused_is_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(matgroups, "ORDER_CAP", 50)
         code = run(["tower", "--p", 3, "--levels", 3, "-o", tmp_path / "t.csv"])
@@ -705,3 +731,24 @@ def test_package_import_loads_no_submodule():
         text=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_readme_command_block_runs(tmp_path):
+    # each `expanderlab ...` line under "Command line", in order, as `python -m expanderlab`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", "").splitlines()
+    commands = [c for c in (shlex.split(line, comments=True) for line in lines) if c]
+    assert all(c[0] == "expanderlab" for c in commands)
+    assert commands[-1][1] == "rerun"
+    src = str(Path(expanderlab.__file__).resolve().parents[1])
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "expanderlab", *argv[1:]],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, (argv, done.stderr)

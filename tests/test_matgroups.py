@@ -265,6 +265,8 @@ class TestRecipes:
             "product:diagonal:elementary:", "sanov:", "elementary:1",
             # refused before any field was read one way
             "product", "product:twisted:", "product:bogus", "transvections:x", "",
+            # a power int() reads, though it is not written in the digits 0-9 alone
+            "transvections:3_0", "transvections: 3", "transvections:+3", "transvections:\u0663",
         ],
     )
     def test_malformed_recipe_refused(self, recipe):

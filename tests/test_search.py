@@ -86,9 +86,11 @@ class TestTrim:
         assert out.m == 4 and is_connected(out)
         assert girth(out) == UNBOUNDED
 
-    def test_target_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            trim_to_girth(cycle(5), 2)
+    def test_target_of_three_or_less_returns_the_input(self):
+        # a girth target is a lower bound, and every simple graph meets 3
+        for g in (cycle(5), named_graph("complete", 4)):
+            for t in (-1, 0, 1, 2, 3):
+                assert trim_to_girth(g, t) == g
 
     def test_random_hosts_contract(self):
         for seed in range(40):
@@ -204,9 +206,14 @@ class TestAugment:
                 current = set(step)
             assert current == final
 
-    def test_bad_floor(self):
-        with pytest.raises(ValueError):
-            augment_edges(cycle(5), edge_subgraph(cycle(5), set()), 2, 1)
+    def test_floor_of_three_or_less_adds_as_floor_three(self):
+        # no candidate pair is closer than 2, so every floor up to 3 admits them all
+        host = named_graph("complete", 5)
+        for t in (-1, 0, 1, 2, 3):
+            for budget in (1, 100):
+                out = augment_edges(host, spanning_path(5), t, budget)
+                assert out == augment_edges(host, spanning_path(5), 3, budget)
+            assert out == host
 
     def test_disconnected_sub_rejected(self):
         # joining components is reconnect_repair's job
@@ -231,6 +238,68 @@ def _host_and_subset(draw):
     )
     sample = percolate(host, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), seed)
     return host, reconnect_repair(host, sample).edge_set()
+
+
+@st.composite
+def _any_graph(draw):
+    """A simple graph on 1-16 vertices: a forest, or random pairs (often disconnected)."""
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):  # each vertex joins an earlier one or starts a tree
+        pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n) if draw(st.booleans())]
+    else:
+        pairs = draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        )
+    return from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+class _ReadRows(list):
+    """Adjacency lists that record which rows were read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, u):
+        self.read.add(u)
+        return super().__getitem__(u)
+
+
+class TestGirthLowerBound:
+    """A girth target is a lower bound: 3 or less is met by every simple graph."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_any_graph(), st.integers(-1, 3))
+    def test_scan_stops_after_the_first_root(self, g, t):
+        rows = _ReadRows(g.adj)
+        assert shortest_cycle_scan(rows, below=t) is None
+        assert len(rows.read) <= 1
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_any_graph(), st.integers(-1, 3))
+    def test_trim_returns_the_graph(self, g, t):
+        assert trim_to_girth(g, t) == g
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_host_and_subset(), st.integers(-1, 3), st.integers(0, 80))
+    def test_augment_adds_as_floor_three(self, host_sub, t, budget):
+        host, kept = host_sub
+        sub = edge_subgraph(host, kept)
+        out = augment_edges(host, sub, t, budget)
+        assert out == augment_edges(host, sub, 3, budget)
+        assert out.edge_set() == augment_edges_reference(host, kept, t, budget)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(_host_and_subset(), st.integers(-1, 2), st.sampled_from(STRATEGIES))
+    def test_search_equals_target_three(self, host_sub, t, strategy):
+        host, _ = host_sub
+        runs = [
+            search_spanning_subexpander(
+                host, girth_target=target, strategy=strategy, budget=50, seed=1
+            )
+            for target in (t, 3)
+        ]
+        assert runs[0] == runs[1]
 
 
 class TestAgainstReferences:
@@ -434,6 +503,19 @@ class TestProbe:
         ]
         assert {r.family for r in records} == {"random-regular:n=20,d=3,seed=0",
                                                "random-regular:n=20,d=3"}
+
+    def test_exact_tie_goes_to_the_strategy_name_first_in_order(self):
+        # C12 at c = 0.5 (target 3): percolate-repair's augment re-adds every
+        # host edge, so both strategies return C12 with one gap, and the record
+        # credits percolate-repair, though trim is raced first
+        records, _ = conjecture_probe(
+            [parse_family_spec("cycle:n=12")], [0.5], strategies=STRATEGIES, budget=12, seed=4
+        )
+        rec = records[0]
+        assert (rec.girth_target, rec.best_girth) == (3, 12)
+        assert rec.strategy == "percolate-repair"
+        assert rec.best_gap == pytest.approx(1 - math.cos(math.pi / 6), abs=1e-12)
+        assert rec.seed == split(4, search._PHASE_PROBE, 0, 0, STRATEGIES.index(rec.strategy))
 
     def test_deterministic(self):
         specs = [parse_family_spec("random-regular:n=20,d=4,seed=3")]
