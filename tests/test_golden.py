@@ -118,6 +118,14 @@ CASES = {
         ["tower", "--p", "3", "--levels", "1", "--recipe", "product:mixed:elementary",
          "-o", "tower_mixed3.csv"],
     ],
+    "cayley-recipes": [
+        # the recipes no other case pins: a product over a powered base, an
+        # empty pairing field, and a diagonal product up the tower
+        ["gen", "cayley:recipe=product:twisted:transvections:3,p=5", "-o", "twisted_t3_5.el"],
+        ["gen", "cayley:recipe=product::elementary,p=3", "-o", "product_elem3.el"],
+        ["tower", "--p", "3", "--levels", "2", "--recipe", "product:diagonal:sanov",
+         "-o", "tower_diag3.csv"],
+    ],
     "spectrum-boundary": [
         *(
             cmd
@@ -218,6 +226,18 @@ GOLDEN = {
             "9c92f8c0e4fca648396a36e4b57295733cd5702aaa8cd2200ed47170b3251372",
         "twisted3.el.labels":
             "da34558e73e2a6903642f303e6110dcc9012e05a154de1c82852aa812c1d9799",
+    },
+    "cayley-recipes": {
+        "product_elem3.el":
+            "9c92f8c0e4fca648396a36e4b57295733cd5702aaa8cd2200ed47170b3251372",
+        "product_elem3.el.labels":
+            "ac4ae8f637d9154d2b5c31759de323a21ebba039248ca87fa01a9ec468d40db7",
+        "tower_diag3.csv":
+            "9f44e43be8d78a8bc04f27326470125fc333fb2a49cae7cae115e0ddd8b14297",
+        "twisted_t3_5.el":
+            "12fad58cf6fea10e0866da93428d9ec9a9ce39f72ac5ef1190d802e2ff2664c8",
+        "twisted_t3_5.el.labels":
+            "adac05b822125430e8db7f6be528209c3acdc3af6f259e6dc4613053c3470439",
     },
     "probe": {
         "probe/probe.csv":
