@@ -160,6 +160,10 @@ _KEY_ORDER = {
 }
 
 
+#: Deepest nesting of inner specs `parse_family_spec` accepts; the recursive
+#: spec walks would overflow Python's stack a few hundred levels down.
+SPEC_DEPTH_CAP = 100
+
 # values of the keys a spec may leave out; `with_defaults` fills them in
 _DEFAULTS = {
     "random-regular": {"seed": 0},
@@ -180,6 +184,8 @@ def _split_top_level(text: str) -> list[str]:
     for ch in text:
         if ch == "(":
             depth += 1
+            if depth > SPEC_DEPTH_CAP:
+                raise ValueError(f"spec nested deeper than {SPEC_DEPTH_CAP} levels")
         elif ch == ")":
             depth -= 1
             if depth < 0:

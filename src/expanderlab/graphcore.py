@@ -4,8 +4,11 @@ Vertices are dense integers 0..n-1. Producers that carry richer labels (group
 elements, product coordinates) keep them in side tables; the graph itself is
 just sorted adjacency tuples. `from_edges` is the one constructor that
 validates pairs (in either order), and `edge_subgraph` the one check that a
-pair set lies in a host. Pairs handed out are normalized (u, v) with u < v;
-the search works on sorted adjacency lists, the lists a `Graph` freezes.
+pair set lies in a host. Pairs handed out are normalized (u, v) with u < v.
+Two producers freeze adjacency lists directly instead: the search steps,
+whose sorted lists stay symmetric edit by edit, and `matgroups.cayley_graph`,
+whose lists are simple by construction (right multiplication is injective,
+no generator is the identity, and the generators are closed under inverses).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ class Graph:
 
     Instances are immutable and hashable; construct via `from_edges`, which
     validates the invariants (symmetry, no loops, no duplicate neighbors).
-    Code that already holds sorted, symmetric lists (the search steps)
-    freezes them directly with `Graph(n, tuple(map(tuple, adj)))`.
+    Code that already holds sorted, symmetric lists (the search steps, the
+    Cayley builder) freezes them directly with `Graph(n, tuple(map(tuple, adj)))`.
     """
 
     n: int

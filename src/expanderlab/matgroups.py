@@ -2,8 +2,8 @@
 
 A group element is a tuple of ints reduced mod q in row-major order: four
 entries (a, b, c, d) for [[a, b], [c, d]] in SL(2, Z/qZ), eight for a pair in
-the product group (left block, then right block). The modulus is carried by
-the `GeneratorSet`, not by its elements.
+the product group (left block, then right block). The modulus travels beside
+the elements, not in them.
 
 The concrete free pair shipped here is the classical Sanov pair
 a = [[1,2],[0,1]], b = [[1,0],[2,1]], whose lift freely generates a subgroup
@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import metrics
 from .errors import ComputationRefused
-from .graphcore import Graph, from_edges
+from .graphcore import Graph
 
 #: Largest group `cayley_graph` enumerates before refusing.
 ORDER_CAP = 500_000
@@ -51,68 +51,20 @@ def _identity(size: int) -> tuple:
     return (1, 0, 0, 1) * (size // 4)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Symmetric, identity-free generating set plus the defining core pair, mod `modulus`."""
-
-    elements: tuple
-    core: tuple
-    modulus: int
-
-
-def make_symmetric(core, q: int) -> GeneratorSet:
-    """Reduce `core` mod q, close under inverses, drop the identity, dedupe."""
-    if q < 2:
-        raise ValueError(f"modulus must be >= 2, got {q}")
-    core = tuple(tuple(x % q for x in e) for e in core)
-    elements: list = []
-    for e in core:
-        for x in (e, group_inv(e, q)):
-            if x != _identity(len(x)) and x not in elements:
-                elements.append(x)
-    return GeneratorSet(elements=tuple(elements), core=core, modulus=q)
-
-
-def transvection_generators(q: int, k: int) -> GeneratorSet:
-    """The pair [[1,k],[0,1]], [[1,0],[k,1]] mod q, symmetrized.
-
-    These are the k-th powers of the unit transvections. k=1 is the elementary
-    pair, which generates all of SL(2, Z/qZ). For k >= 2 the lift to SL(2,Z)
-    is a free pair (ping-pong), so relations can only close modulo q, never
-    over Z; k=2 is exactly the Sanov pair. The exponent is exposed because no
-    canonical choice exists for the distance-O(1) substitute construction it
-    feeds.
-    """
-    if k < 1:
-        raise ValueError(f"transvection power must be >= 1, got {k}")
-    gs = make_symmetric([(1, k, 0, 1), (1, 0, k, 1)], q)
-    if not gs.elements:
-        raise ValueError(f"transvection power {k} collapses to identity mod {q}")
-    return gs
-
-
-_PAIRINGS = ("diagonal", "twisted", "mixed")
-
-
-def product_generators(gs: GeneratorSet, pairing: str) -> GeneratorSet:
-    """Pair a two-element core {a, b} into product-group generators.
+def _pair(a: tuple, b: tuple, pairing: str, q: int) -> tuple:
+    """Pair a core {a, b} into product-group generators.
 
     diagonal -> {(a,a), (b,b)}; twisted -> {(a,b), (b,a)};
     mixed -> {(a,b), (b, a*b)}. None is guaranteed to generate the full
     product: check reached_order on the Cayley graph.
     """
-    if len(gs.core) < 2:
-        raise ValueError(f"need >= 2 core generators, got {len(gs.core)}")
-    a, b = gs.core[0], gs.core[1]
     if pairing == "diagonal":
-        core = [a + a, b + b]
-    elif pairing == "twisted":
-        core = [a + b, b + a]
-    elif pairing == "mixed":
-        core = [a + b, b + group_mul(a, b, gs.modulus)]
-    else:
-        raise ValueError(f"unknown pairing {pairing!r}, expected one of {_PAIRINGS}")
-    return make_symmetric(core, gs.modulus)
+        return (a + a, b + b)
+    if pairing == "twisted":
+        return (a + b, b + a)
+    if pairing == "mixed":
+        return (a + b, b + group_mul(a, b, q))
+    raise ValueError(f"unknown pairing {pairing!r}, expected diagonal, twisted or mixed")
 
 
 def is_prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -151,65 +103,78 @@ class CayleyResult:
     full_group_order: Optional[int]
 
 
-def cayley_graph(gens: GeneratorSet) -> CayleyResult:
-    """Right-Cayley graph: BFS from the identity, edge {g, gs} per generator.
+def cayley_graph(core, q: int) -> CayleyResult:
+    """Right-Cayley graph of the subgroup that `core` generates mod q.
 
-    Vertices are numbered in BFS discovery order (generator order fixed by
-    the set), collapsed to a simple graph. The reached subgroup order is the
-    vertex count; for SL(2) over prime powers the known group order is
-    attached for comparison.
+    The core is reduced mod q and closed under inverses, the identity and
+    repeats dropped. Vertices are numbered in BFS discovery order from the
+    identity, and vertex i's neighbours are i*s over the generators s in that
+    order, frozen as they stand (`graphcore` says why that is a simple graph).
+    The reached subgroup order is the vertex count; for SL(2) over prime
+    powers the known group order is attached for comparison.
     """
-    if not gens.elements:
-        raise ValueError("empty generator set")
-    q = gens.modulus
-    ident = _identity(len(gens.elements[0]))
-    if ident in gens.elements:
-        raise ValueError("generator set contains the identity")
+    if q < 2:
+        raise ValueError(f"modulus must be >= 2, got {q}")
+    gens: list = []
+    for e in core:
+        e = tuple(x % q for x in e)
+        for x in (e, group_inv(e, q)):
+            if x != _identity(len(x)) and x not in gens:
+                gens.append(x)
+    if not gens:
+        raise ValueError(f"generating set collapses to the identity mod {q}")
+    ident = _identity(len(gens[0]))
     index = {ident: 0}
     order = [ident]
-    edges = set()
-    cap = ORDER_CAP
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        for s in gens.elements:
+    adj = []
+    for cur in order:  # grows as the BFS discovers vertices
+        nbrs = []
+        for s in gens:
             nxt = group_mul(cur, s, q)
             j = index.get(nxt)
             if j is None:
-                if len(order) >= cap:
+                if len(order) >= ORDER_CAP:
                     raise ComputationRefused(
-                        f"group too large: order cap {cap} exceeded "
+                        f"group too large: order cap {ORDER_CAP} exceeded "
                         f"(partial count {len(order)})"
                     )
-                j = len(order)
-                index[nxt] = j
+                j = index[nxt] = len(order)
                 order.append(nxt)
-            edges.add((i, j) if i < j else (j, i))
-        i += 1
-    graph = from_edges(len(order), edges)
+            nbrs.append(j)
+        adj.append(tuple(sorted(nbrs)))
     base = sl2_order(q)
     full = base ** (len(ident) // 4) if base is not None else None
+    graph = Graph(n=len(order), adj=tuple(adj))
     return CayleyResult(
         graph=graph, elements=tuple(order), reached_order=len(order), full_group_order=full
     )
 
 
-def generators_from_recipe(recipe: str, q: int) -> GeneratorSet:
-    """`transvections[:<k>]` (k = 2), its aliases `sanov` (k = 2) and `elementary` (k = 1),
-    and `product:[<pairing>][:<base>]` (twisted over sanov), whose base is all that
-    follows the pairing. A field no recipe reads is refused, not dropped."""
+def generators_from_recipe(recipe: str, q: int) -> tuple:
+    """The core pair of `transvections[:<k>]` (k = 2), its aliases `sanov` (k = 2)
+    and `elementary` (k = 1), or `product:[<pairing>][:<base>]` (twisted over
+    sanov), whose base is all that follows the pairing. A field no recipe
+    reads is refused, not dropped.
+
+    `transvections:<k>` is [[1,k],[0,1]], [[1,0],[k,1]], the k-th powers of the
+    unit transvections. For k >= 2 its lift to SL(2,Z) is a free pair
+    (ping-pong), so relations can only close modulo q, never over Z.
+    """
     aliases = {"sanov": "transvections:2", "elementary": "transvections:1"}
     kind, colon, rest = aliases.get(recipe, recipe).partition(":")
     if kind == "transvections":
         if rest and not (rest.isascii() and rest.isdigit()):
             raise ValueError(f"recipe {recipe!r}: power must be digits 0-9, got {rest!r}")
-        return transvection_generators(q, int(rest or 2))
+        k = int(rest or 2)
+        if k < 1:
+            raise ValueError(f"transvection power must be >= 1, got {k}")
+        return ((1, k, 0, 1), (1, 0, k, 1))
     if kind == "product" and colon:
         pairing, has_base, base = rest.partition(":")
         if base.startswith("product"):
             raise ValueError("product recipes cannot nest")
-        base_gens = generators_from_recipe(base if has_base else "sanov", q)
-        return product_generators(base_gens, pairing or "twisted")
+        a, b = generators_from_recipe(base if has_base else "sanov", q)
+        return _pair(a, b, pairing or "twisted", q)
     raise ValueError(f"unknown generator recipe {recipe!r}")
 
 
@@ -225,7 +190,8 @@ def cayley_from_recipe(recipe: str, p: int, level: int) -> CayleyResult:
         raise ComputationRefused(f"modulus {p}^{level} refused: it must be below 2^64")
     if p < 2:
         raise ValueError(f"cayley p must be >= 2, got {p}")
-    return cayley_graph(generators_from_recipe(recipe, p**level))
+    q = p**level
+    return cayley_graph(generators_from_recipe(recipe, q), q)
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,31 @@ reference at the end is the plain version of `augment_edges`: one
 target-stopped BFS per distance. `percolation_sweep_reference` is the sweep
 as it once was, one `percolate` and one `component_summary` per (p, seed).
 `words_avoid_identity` checks the freeness of a generator pair in SL(2, Z)
-up to a word length.
+up to a word length. `make_symmetric` and `cayley_graph_reference` are the
+Cayley build as it once was: a `GeneratorSet` closed under inverses, then an
+edge set normalised pair by pair and handed to `from_edges`.
 """
 
 import heapq
 import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import UNREACHABLE, Graph, edge_subgraph, from_edges
+from expanderlab.matgroups import (
+    ORDER_CAP,
+    CayleyResult,
+    _identity,
+    group_inv,
+    group_mul,
+    sl2_order,
+)
 from expanderlab.metrics import spectrum
 from expanderlab.percolation import (
     _PHASE_SWEEP,
@@ -455,3 +467,68 @@ def words_avoid_identity(a_rows, b_rows, max_len: int = 12) -> bool:
                 return False
             stack.append((nxt, gi, depth + 1))
     return True
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Symmetric, identity-free generating set plus the defining core pair, mod `modulus`."""
+
+    elements: tuple
+    core: tuple
+    modulus: int
+
+
+def make_symmetric(core, q: int) -> GeneratorSet:
+    """Reduce `core` mod q, close under inverses, drop the identity, dedupe."""
+    if q < 2:
+        raise ValueError(f"modulus must be >= 2, got {q}")
+    core = tuple(tuple(x % q for x in e) for e in core)
+    elements: list = []
+    for e in core:
+        for x in (e, group_inv(e, q)):
+            if x != _identity(len(x)) and x not in elements:
+                elements.append(x)
+    return GeneratorSet(elements=tuple(elements), core=core, modulus=q)
+
+
+def cayley_graph_reference(gens: GeneratorSet) -> CayleyResult:
+    """Right-Cayley graph: BFS from the identity, edge {g, gs} per generator.
+
+    Vertices are numbered in BFS discovery order (generator order fixed by
+    the set), collapsed to a simple graph. The reached subgroup order is the
+    vertex count; for SL(2) over prime powers the known group order is
+    attached for comparison.
+    """
+    if not gens.elements:
+        raise ValueError("empty generator set")
+    q = gens.modulus
+    ident = _identity(len(gens.elements[0]))
+    if ident in gens.elements:
+        raise ValueError("generator set contains the identity")
+    index = {ident: 0}
+    order = [ident]
+    edges = set()
+    cap = ORDER_CAP
+    i = 0
+    while i < len(order):
+        cur = order[i]
+        for s in gens.elements:
+            nxt = group_mul(cur, s, q)
+            j = index.get(nxt)
+            if j is None:
+                if len(order) >= cap:
+                    raise ComputationRefused(
+                        f"group too large: order cap {cap} exceeded "
+                        f"(partial count {len(order)})"
+                    )
+                j = len(order)
+                index[nxt] = j
+                order.append(nxt)
+            edges.add((i, j) if i < j else (j, i))
+        i += 1
+    graph = from_edges(len(order), edges)
+    base = sl2_order(q)
+    full = base ** (len(ident) // 4) if base is not None else None
+    return CayleyResult(
+        graph=graph, elements=tuple(order), reached_order=len(order), full_group_order=full
+    )

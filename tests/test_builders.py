@@ -229,6 +229,20 @@ class TestFamilySpec:
         assert spec.params["inner"].params["n"] == 3
         assert spec.params["inner2"].params["n"] == 4
 
+    def test_nesting_deeper_than_the_cap_refused(self):
+        def nested(depth: int, core: str = "cycle:n=5") -> str:
+            return "power:k=1,inner=(" * depth + core + ")" * depth
+
+        # the deepest spec accepted is walked by every recursive step
+        spec = parse_family_spec(nested(builders.SPEC_DEPTH_CAP))
+        assert canonical_spec_string(with_defaults(spec)) == nested(builders.SPEC_DEPTH_CAP)
+        assert build_family(spec).graph == named_graph("cycle", 5)
+        too_deep = [nested(builders.SPEC_DEPTH_CAP + 1), nested(520), nested(2000)]
+        too_deep.append(f"product:inner=(cycle:n=3),inner2=({nested(builders.SPEC_DEPTH_CAP)})")
+        for text in too_deep:
+            with pytest.raises(ValueError, match="nested deeper than 100 levels"):
+                parse_family_spec(text)
+
     def test_canonical_round_trip(self):
         for text in (
             "random-regular:n=64,d=4,seed=1",

@@ -525,6 +525,23 @@ class TestExitCodes:
         assert "must be below 2^64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth", [520, 2000])
+    def test_spec_nested_too_deep_is_2(self, tmp_path, depth, capsys, monkeypatch):
+        # refused as it is parsed, before anything is built; it once overflowed
+        # the stack and exited 4
+        spec = "power:k=1,inner=(" * depth + "cycle:n=5" + ")" * depth
+        unreached = mock.Mock(side_effect=AssertionError("built"))
+        monkeypatch.setattr(builders, "build_family", unreached)
+        monkeypatch.setattr(search, "conjecture_probe", unreached)
+        out = tmp_path / "g.el"
+        assert run(["gen", spec, "-o", out]) == cli.EXIT_INPUT
+        probe = ["probe", "--family", "cycle:n=5", "--family", spec, "--ratios", "1",
+                 "--out-dir", tmp_path / "probe"]
+        assert run(probe) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.count("nested deeper than 100 levels") == 2
+        assert not out.exists() and not (tmp_path / "probe").exists()
+        assert not unreached.called
+
     @pytest.mark.parametrize("spec", ["cayley:p=-3,level=2", "cayley:p=1,level=3"])
     def test_cayley_p_below_2_is_2(self, tmp_path, spec, capsys):
         # p=-3, level=2 would otherwise build SL(2, Z/9Z)

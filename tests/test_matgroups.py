@@ -1,9 +1,14 @@
+from unittest import mock
+
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanderlab import matgroups, metrics
 from expanderlab.errors import ComputationRefused
+from expanderlab.graphcore import from_edges
 from expanderlab.matgroups import (
-    GeneratorSet,
     cayley_from_recipe,
     cayley_graph,
     generators_from_recipe,
@@ -11,20 +16,17 @@ from expanderlab.matgroups import (
     group_inv,
     group_mul,
     is_prime_power,
-    make_symmetric,
-    product_generators,
     sl2_order,
-    transvection_generators,
 )
 from expanderlab.rng import Stream
-from oracles import words_avoid_identity
+from oracles import cayley_graph_reference, make_symmetric, words_avoid_identity
 
 IDENT = (1, 0, 0, 1)
 
 
 def random_sl2(q: int, stream: Stream) -> tuple:
     """Random product of elementary generators — always determinant 1."""
-    gens = transvection_generators(q, 1).elements
+    gens = [(1, 1, 0, 1), (1, q - 1, 0, 1), (1, 0, 1, 1), (1, 0, q - 1, 1)]
     x = IDENT
     for _ in range(stream.randrange(12) + 1):
         x = group_mul(x, gens[stream.randrange(len(gens))], q)
@@ -77,7 +79,8 @@ class TestMatrixArithmetic:
 class TestReduce:
     def test_entrywise(self):
         # a core given over Z is reduced entry by entry
-        assert make_symmetric([(10, -7, 9, 1)], 9).core == ((1, 2, 0, 1),)
+        assert cayley_graph([(10, -7, 9, 1)], 9) == cayley_graph([(1, 2, 0, 1)], 9)
+        assert generators([(10, -7, 9, 1)], 9) == [(1, 2, 0, 1), (1, 7, 0, 1)]
 
     def test_homomorphism_random(self):
         for q, q_new in ((9, 3), (25, 5), (27, 9), (27, 3)):
@@ -90,23 +93,33 @@ class TestReduce:
                 )
 
 
-def sanov(q: int) -> GeneratorSet:
+def sanov(q: int) -> tuple:
     return generators_from_recipe("sanov", q)
 
 
-def elementary(q: int) -> GeneratorSet:
+def elementary(q: int) -> tuple:
     return generators_from_recipe("elementary", q)
+
+
+def generators(core, q: int) -> list:
+    """The generating set `cayley_graph` builds from `core`, in its order.
+
+    The identity is vertex 0, and its neighbours 1, 2, ... are the
+    generators themselves, found in generator order.
+    """
+    res = cayley_graph(core, q)
+    assert res.graph.adj[0] == tuple(range(1, len(res.graph.adj[0]) + 1))
+    return [res.elements[j] for j in res.graph.adj[0]]
 
 
 class TestGeneratorSets:
     def test_sanov_q3_four_elements(self):
-        gs = sanov(3)
-        assert len(gs.elements) == 4
-        assert len(set(gs.elements)) == 4
-        assert gs.modulus == 3
+        gens = generators(sanov(3), 3)
+        assert len(gens) == 4
+        assert len(set(gens)) == 4
 
     def test_sanov_q5_exact_set(self):
-        assert set(sanov(5).elements) == {
+        assert set(generators(sanov(5), 5)) == {
             (1, 2, 0, 1),
             (1, 0, 2, 1),
             (1, 3, 0, 1),
@@ -114,81 +127,81 @@ class TestGeneratorSets:
         }
 
     def test_sanov_q2_rejected(self):
-        with pytest.raises(ValueError, match="collapses"):
-            sanov(2)
+        with pytest.raises(ValueError, match="collapses to the identity"):
+            cayley_graph(sanov(2), 2)
 
     def test_modulus_checked(self):
         for q in (1, 0, -3):
             with pytest.raises(ValueError, match="modulus must be >= 2"):
-                transvection_generators(q, 1)
+                cayley_graph(elementary(q), q)
 
     def test_transvection_power_checked(self):
         with pytest.raises(ValueError, match=">= 1"):
-            transvection_generators(5, 0)
+            generators_from_recipe("transvections:0", 5)
 
     def test_symmetrized_closed_under_inverse(self):
-        for gs in (sanov(7), elementary(9)):
-            elems = set(gs.elements)
-            q = gs.modulus
+        for core, q in ((sanov(7), 7), (elementary(9), 9)):
+            elems = set(generators(core, q))
             assert all(group_inv(e, q) in elems for e in elems)
             assert not any(e == IDENT for e in elems)
 
-    def test_make_symmetric_reduces_drops_identity_dedupes(self):
-        gs = make_symmetric([(6, 1, 5, 1), (1, 0, 0, 1), (1, 1, 0, 1), (1, 6, 0, 1)], 5)
-        assert gs.core == ((1, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 0, 1))
-        assert gs.elements == ((1, 1, 0, 1), (1, 4, 0, 1))
+    def test_core_reduced_identity_dropped_repeats_removed(self):
+        core = [(6, 1, 5, 1), (1, 0, 0, 1), (1, 1, 0, 1), (1, 6, 0, 1)]
+        assert generators(core, 5) == [(1, 1, 0, 1), (1, 4, 0, 1)]
         with pytest.raises(ValueError, match="not in SL"):
-            make_symmetric([(2, 0, 0, 1)], 5)
+            cayley_graph([(2, 0, 0, 1)], 5)
 
     def test_product_twisted_count(self):
-        gs = product_generators(sanov(3), "twisted")
-        assert len(gs.elements) == 4
-        assert all(len(e) == 8 for e in gs.elements)
-        assert gs.modulus == 3
+        gens = generators(generators_from_recipe("product:twisted", 3), 3)
+        assert len(gens) == 4
+        assert all(len(e) == 8 for e in gens)
 
     def test_product_unknown_pairing(self):
         with pytest.raises(ValueError, match="pairing"):
-            product_generators(sanov(3), "zigzag")
+            generators_from_recipe("product:zigzag", 3)
 
 
 class TestCayleyGraph:
     def test_elementary_q3_full_group(self):
-        res = cayley_graph(elementary(3))
+        res = cayley_graph(elementary(3), 3)
         assert res.reached_order == 24
         assert res.full_group_order == 24
         assert res.graph.max_degree == 4
         assert all(len(res.graph.adj[v]) == 4 for v in range(res.graph.n))
 
     def test_elementary_q2_order6(self):
-        res = cayley_graph(elementary(2))
+        res = cayley_graph(elementary(2), 2)
         assert res.reached_order == 6
 
     def test_elementary_q5_order120(self):
-        res = cayley_graph(elementary(5))
+        res = cayley_graph(elementary(5), 5)
         assert res.reached_order == 120 == sl2_order(5)
 
     def test_sanov_q9_order(self):
-        res = cayley_graph(sanov(9))
+        res = cayley_graph(sanov(9), 9)
         assert res.reached_order == 648 == sl2_order(9)
 
     def test_order_cap(self, monkeypatch):
         monkeypatch.setattr(matgroups, "ORDER_CAP", 100)
         with pytest.raises(ComputationRefused, match="too large"):
-            cayley_graph(sanov(9))
+            cayley_graph(sanov(9), 9)
 
     def test_bad_generator_sets(self):
-        with pytest.raises(ValueError, match="empty"):
-            cayley_graph(GeneratorSet(elements=(), core=(), modulus=5))
-        with pytest.raises(ValueError, match="identity"):
-            cayley_graph(GeneratorSet(elements=(IDENT,), core=(IDENT,), modulus=5))
+        # a core with no element but the identity once reduced is refused
+        for core, q in (((), 5), ((IDENT, (6, 5, 0, 6)), 5), ((IDENT + IDENT,), 7)):
+            with pytest.raises(ValueError, match="collapses to the identity"):
+                cayley_graph(core, q)
+        for recipe, q in (("sanov", 2), ("transvections:3", 3), ("product:mixed", 2)):
+            with pytest.raises(ValueError, match="collapses to the identity"):
+                cayley_graph(generators_from_recipe(recipe, q), q)
 
     def test_diagonal_product_reaches_diagonal_copy(self):
-        res = cayley_graph(product_generators(sanov(3), "diagonal"))
+        res = cayley_graph(generators_from_recipe("product:diagonal", 3), 3)
         assert res.reached_order == 24
         assert res.full_group_order == 576
 
     def test_mixed_product_order_reported(self):
-        res = cayley_graph(product_generators(elementary(3), "mixed"))
+        res = cayley_graph(generators_from_recipe("product:mixed:elementary", 3), 3)
         assert res.full_group_order == 576
         assert 1 <= res.reached_order <= 576
 
@@ -197,7 +210,7 @@ class TestCayleyGraph:
         # on a sample of vertices
         from expanderlab.graphcore import bfs_distances
 
-        res = cayley_graph(elementary(5))
+        res = cayley_graph(elementary(5), 5)
         g = res.graph
         base = sorted(bfs_distances(g.adj, 0))
         stream = Stream(99)
@@ -207,49 +220,113 @@ class TestCayleyGraph:
             assert sorted(bfs_distances(g.adj, v)) == base
 
     def test_labels_are_row_major_entries(self):
-        res = cayley_graph(elementary(3))
+        res = cayley_graph(elementary(3), 3)
         assert res.elements[0] == (1, 0, 0, 1)  # identity is vertex 0
         assert len(res.elements) == 24
 
     def test_product_labels_join_block_labels(self):
-        left = cayley_graph(sanov(3))
-        res = cayley_graph(product_generators(sanov(3), "diagonal"))
+        left = cayley_graph(sanov(3), 3)
+        res = cayley_graph(generators_from_recipe("product:diagonal:sanov", 3), 3)
         assert res.elements[0] == (1, 0, 0, 1, 1, 0, 0, 1)
         # the diagonal copy: each vertex is (g, g), found in the same BFS order
         assert res.elements == tuple(e + e for e in left.elements)
 
 
+def _transvection_word(ks: list) -> tuple:
+    """Product over Z of [[1,k],[0,1]] and [[1,0],[k,1]] in turn, k from `ks`."""
+    x = IDENT
+    for i, k in enumerate(ks):
+        a, b, c, d = x
+        x = (a, a * k + b, c, c * k + d) if i % 2 == 0 else (a + b * k, b, c + d * k, d)
+    return x
+
+
+@st.composite
+def _blocks(draw, q: int) -> tuple:
+    """A word in the transvections over Z (entries often outside 0..q-1, the
+    identity when every k is 0 mod q) or, one time in eight, four free entries."""
+    if draw(st.integers(0, 7)) == 7:
+        return draw(st.tuples(*[st.integers(-q, 2 * q)] * 4))
+    return _transvection_word(draw(st.lists(st.integers(-2 * q, 2 * q), min_size=1, max_size=4)))
+
+
+@st.composite
+def cores(draw):
+    """(core, q): 1-3 elements of 4 or 8 entries mod q in 2..12, drawn from a
+    pool of at most three, so repeats are common."""
+    q = draw(st.integers(2, 12))
+    width = draw(st.sampled_from([1, 2]))
+    element = st.lists(_blocks(q), min_size=width, max_size=width)
+    pool = draw(st.lists(element, min_size=1, max_size=3))
+    core = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return [sum(e, ()) for e in core], q
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, ComputationRefused) as e:
+        return type(e)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(cores())
+    def test_matches_edge_set_build(self, case):
+        # the edge-set build it replaced, on cores with the identity, repeats,
+        # elements outside SL and sets not closed under inverses; a low order
+        # cap keeps the product groups small and checks that both refuse alike
+        core, q = case
+        with mock.patch.object(matgroups, "ORDER_CAP", 1000), mock.patch.object(
+            oracles, "ORDER_CAP", 1000
+        ):
+            got = _outcome(lambda: cayley_graph(core, q))
+            want = _outcome(lambda: cayley_graph_reference(make_symmetric(core, q)))
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert got == want  # graph, elements, reached and full order
+        assert from_edges(got.graph.n, got.graph.edges()) == got.graph
+
+
 class TestRecipes:
     def test_known_recipes(self):
-        assert len(generators_from_recipe("sanov", 5).elements) == 4
-        assert len(generators_from_recipe("elementary", 5).elements) == 4
-        gs = generators_from_recipe("product:twisted", 3)
-        assert len(gs.elements[0]) == 8
-        gs = generators_from_recipe("product:diagonal:elementary", 3)
-        assert len(gs.elements[0]) == 8
+        assert len(generators(generators_from_recipe("sanov", 5), 5)) == 4
+        assert len(generators(generators_from_recipe("elementary", 5), 5)) == 4
+        for recipe in ("product:twisted", "product:diagonal:elementary", "product:mixed"):
+            gens = generators(generators_from_recipe(recipe, 3), 3)
+            assert all(len(e) == 8 for e in gens)
+
+    def test_product_pairings(self):
+        a, b = (1, 1, 0, 1), (1, 0, 1, 1)
+        for q in (3, 7):
+            assert generators_from_recipe("product:diagonal:elementary", q) == (a + a, b + b)
+            assert generators_from_recipe("product:twisted:elementary", q) == (a + b, b + a)
+            assert generators_from_recipe("product:mixed:elementary", q) == (
+                a + b, b + (2 % q, 1, 1, 1)
+            )
 
     def test_transvections_default_is_sanov(self):
         for q in (3, 7, 9):
-            assert generators_from_recipe("elementary", q) == transvection_generators(q, 1)
-            assert generators_from_recipe("sanov", q) == transvection_generators(q, 2)
-            assert generators_from_recipe("transvections", q) == transvection_generators(q, 2)
-        gs = generators_from_recipe("transvections:3", 7)
-        assert set(gs.core) == {(1, 3, 0, 1), (1, 0, 3, 1)}
-        with pytest.raises(ValueError, match="collapses"):
-            transvection_generators(3, 3)
+            assert generators_from_recipe("elementary", q) == ((1, 1, 0, 1), (1, 0, 1, 1))
+            assert generators_from_recipe("sanov", q) == ((1, 2, 0, 1), (1, 0, 2, 1))
+            assert generators_from_recipe("transvections", q) == sanov(q)
+        assert set(generators_from_recipe("transvections:3", 7)) == {(1, 3, 0, 1), (1, 0, 3, 1)}
+        with pytest.raises(ValueError, match="collapses to the identity"):
+            cayley_graph(generators_from_recipe("transvections:3", 3), 3)
 
     def test_empty_fields_keep_their_defaults(self):
-        sanov, elementary = transvection_generators(7, 2), transvection_generators(7, 1)
-        assert generators_from_recipe("transvections:", 7) == sanov
-        assert generators_from_recipe("product:", 7) == product_generators(sanov, "twisted")
-        assert generators_from_recipe("product::elementary", 7) == product_generators(
-            elementary, "twisted"
+        assert generators_from_recipe("transvections:", 7) == sanov(7)
+        assert generators_from_recipe("product:", 7) == generators_from_recipe(
+            "product:twisted:sanov", 7
+        )
+        assert generators_from_recipe("product::elementary", 7) == generators_from_recipe(
+            "product:twisted:elementary", 7
         )
 
     def test_product_base_keeps_its_own_power(self):
-        assert generators_from_recipe("product:twisted:transvections:3", 7) == product_generators(
-            transvection_generators(7, 3), "twisted"
-        )
+        a, b = (1, 3, 0, 1), (1, 0, 3, 1)
+        assert generators_from_recipe("product:twisted:transvections:3", 7) == (a + b, b + a)
 
     def test_unknown_recipe(self):
         with pytest.raises(ValueError, match="recipe"):
@@ -289,7 +366,7 @@ class TestTower:
 
     def test_single_level_matches_direct(self):
         rows = girth_tower_report(3, 1, recipe="sanov")
-        res = cayley_graph(sanov(3))
+        res = cayley_graph(sanov(3), 3)
         assert rows[0].vertices == res.graph.n
         assert rows[0].girth == metrics.girth(res.graph)
 
@@ -315,7 +392,7 @@ class TestVertexTransitiveGirth:
                 try:
                     g = cayley_from_recipe(recipe, p, level).graph
                 except ValueError as e:
-                    assert "collapses to identity" in str(e)
+                    assert "collapses to the identity" in str(e)
                     continue
                 except ComputationRefused as e:
                     assert "order cap 2500" in str(e)
