@@ -5,10 +5,11 @@ elements, product coordinates) keep them in side tables; the graph itself is
 just sorted adjacency tuples. `from_edges` is the one constructor that
 validates pairs (in either order), and `edge_subgraph` the one check that a
 pair set lies in a host. Pairs handed out are normalized (u, v) with u < v.
-Two producers freeze adjacency lists directly instead: the search steps,
-whose sorted lists stay symmetric edit by edit, and `matgroups.cayley_graph`,
+Three producers freeze adjacency lists directly instead: the search steps,
+whose sorted lists stay symmetric edit by edit, `matgroups.cayley_graph`,
 whose lists are simple by construction (right multiplication is injective,
-no generator is the identity, and the generators are closed under inverses).
+no generator is the identity, and the generators are closed under inverses),
+and `induced_ball`, since an induced subgraph of a simple graph is simple.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class Graph:
     Instances are immutable and hashable; construct via `from_edges`, which
     validates the invariants (symmetry, no loops, no duplicate neighbors).
     Code that already holds sorted, symmetric lists (the search steps, the
-    Cayley builder) freezes them directly with `Graph(n, tuple(map(tuple, adj)))`.
+    Cayley builder, `induced_ball`) freezes them directly, as
+    `Graph(n, tuple(map(tuple, adj)))`.
     """
 
     n: int
@@ -289,15 +291,31 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_ball(g: Graph, center: int, r: int) -> Graph:
-    """Induced subgraph on the vertices within r of `center`, relabeled in ascending order."""
+    """Induced subgraph on the vertices within r of `center`, relabeled in ascending order.
+
+    A BFS of r layers visits only the ball; each member keeps its sorted
+    neighbours inside the ball, relabeled by a monotone map, so the lists are
+    frozen as they are.
+    """
     if not 0 <= center < g.n:
         raise ValueError(f"center {center} out of range for n={g.n}")
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    dist = bfs_distances(g.adj, center, max_depth=r)
-    remap = {v: i for i, v in enumerate(v for v, d in enumerate(dist) if d >= 0)}
-    edges = [(remap[u], remap[v]) for u in remap for v in g.adj[u] if u < v and v in remap]
-    return from_edges(len(remap), edges)
+    adj = g.adj
+    seen = {center}
+    frontier = [center]
+    for _ in range(r):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        if not nxt:
+            break
+        frontier = nxt
+    index = {v: i for i, v in enumerate(sorted(seen))}
+    return Graph(len(index), tuple(tuple(index[v] for v in adj[u] if v in index) for u in index))
 
 
 def edge_subgraph(g: Graph, keep: Iterable[tuple[int, int]]) -> Graph:

@@ -7,14 +7,18 @@ the monotone coupling the sweep relies on. Marginals are exactly Bernoulli(p).
 
 The sweep is Newman–Ziff (2000): per replicate it draws the uniforms once,
 adds edges to one union-find in uniform order and reads the largest component
-at each grid point, O(seeds · m log m) whatever the grid length. Rows come in
-the given grid order, repeats included, equal to one `percolate` per (p, seed).
+at each grid point, O(seeds · m log m) whatever the grid length. A replicate
+stops adding edges once its largest component spans all n vertices, since
+every later grid point then reads 1. Rows come in the given grid order,
+repeats included, equal to one `percolate` per (p, seed).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphcore import Graph, from_edges
 from .metrics import spectrum
@@ -62,16 +66,19 @@ def _check_p(p: float) -> None:
         raise ValueError(f"retention probability must be in [0,1], got {p}")
 
 
-def _edge_uniforms(g: Graph, seed: int) -> list[float]:
-    """The coupling's uniforms, one per edge in canonical edge order."""
-    stream = Stream(split(seed, _PHASE_EDGES))
-    return [stream.uniform() for _ in range(g.m)]
+def _edge_uniforms(g: Graph, seed: int) -> np.ndarray:
+    """The coupling's uniforms, one per edge in canonical edge order.
+
+    Each is the top 53 bits of one draw times 2^-53, so it lies in [0, 1).
+    """
+    return (Stream(split(seed, _PHASE_EDGES)).block(g.m) >> 11) * 2.0**-53
 
 
 def percolate(g: Graph, p: float, seed: int) -> Graph:
     """Spanning subgraph keeping each edge independently with probability p (threshold coupling)."""
     _check_p(p)
-    return from_edges(g.n, [e for e, x in zip(g.edges(), _edge_uniforms(g, seed)) if x < p])
+    kept = (_edge_uniforms(g, seed) < p).tolist()
+    return from_edges(g.n, [e for e, keep in zip(g.edges(), kept) if keep])
 
 
 def component_summary(g: Graph) -> ComponentSummary:
@@ -127,20 +134,33 @@ def percolation_sweep(
     for p in grid:
         _check_p(p)
     rho_d = spectrum(g).rho_star * g.max_degree
-    edges = list(g.edges())
+    n, edges = g.n, list(g.edges())
     ascending = sorted(range(len(grid)), key=grid.__getitem__)
     fractions = [[] for _ in grid]
     for i in range(seeds_per_point):
         uniforms = _edge_uniforms(g, split(base_seed, _PHASE_SWEEP, i))
-        order = sorted(range(len(edges)), key=uniforms.__getitem__)
-        ds, giant, k = DisjointSet(g.n), 1, 0
+        order = np.argsort(uniforms, kind="stable")
+        # ends[j]: how many edges have a uniform below grid[j], so are kept there
+        ends = np.searchsorted(uniforms[order], grid, side="left").tolist()
+        order = order.tolist()
+        parent, size = list(range(n)), [1] * n
+        giant, k = 1, 0
         for j in ascending:
-            while k < len(order) and uniforms[order[k]] < grid[j]:
+            # once the giant spans every vertex, each later point reads 1
+            while k < ends[j] and giant < n:
                 u, v = edges[order[k]]
-                if ds.union(u, v):
-                    giant = max(giant, ds.size[ds.find(u)])
                 k += 1
-            fractions[j].append(giant / g.n)
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u != v:
+                    if size[u] < size[v]:
+                        u, v = v, u
+                    parent[v] = u
+                    size[u] += size[v]
+                    giant = max(giant, size[u])
+            fractions[j].append(giant / n)
     rows = []
     for p, fs in zip(grid, fractions):
         mean = sum(fs) / len(fs)

@@ -257,7 +257,9 @@ def search_spanning_subexpander(
 
     Exactly one of `ratio` and `girth_target` is given: the target is
     ceil(ratio * diameter(host)) or that absolute girth. Deterministic in
-    (host, parameters, seed).
+    (host, parameters, seed). `host_spectrum`, if given, must be
+    `spectrum(host)`: percolate-repair reads its rho_star, and its gap is
+    reused only for a re-measured subgraph equal to the host.
     """
     if (ratio is None) == (girth_target is None):
         raise ValueError("give exactly one of ratio and girth_target")
@@ -282,7 +284,12 @@ def search_spanning_subexpander(
     sub = edge_subgraph(host, out.edge_set())
     connected = is_connected(sub)
     girth_achieved = girth(sub)
-    gap = spectrum(sub).gap if connected and sub.n >= 2 else 0.0
+    if not connected or sub.n < 2:
+        gap = 0.0
+    elif host_spectrum is not None and sub == host:
+        gap = host_spectrum.gap  # `spectrum` is deterministic: a re-solve gives these bits
+    else:
+        gap = spectrum(sub).gap
     return SearchResult(
         graph=sub,
         girth_achieved=girth_achieved,

@@ -12,6 +12,9 @@ matrix in a Python loop, as the dense spectrum once did. The search
 reference at the end is the plain version of `augment_edges`: one
 target-stopped BFS per distance. `percolation_sweep_reference` is the sweep
 as it once was, one `percolate` and one `component_summary` per (p, seed).
+`ScalarStream` is `rng.Stream` as it once was, one interpreted SplitMix64
+draw per call; the block draws must equal it bit for bit, and tests that
+need scalar draws (`random_connected_graph` among them) take them from it.
 `words_avoid_identity` checks the freeness of a generator pair in SL(2, Z)
 up to a word length. `make_symmetric` and `cayley_graph_reference` are the
 Cayley build as it once was: a `GeneratorSet` closed under inverses, then an
@@ -46,7 +49,41 @@ from expanderlab.percolation import (
     component_summary,
     percolate,
 )
-from expanderlab.rng import Stream, split
+from expanderlab.rng import _GOLDEN, _MASK64, _mix, split
+
+
+class ScalarStream:
+    """A single SplitMix64 stream."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return _mix(self._state)
+
+    def uniform(self) -> float:
+        """Uniform float in [0, 1) with 53 random mantissa bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randrange(self, n: int) -> int:
+        """Uniform integer in [0, n), unbiased via rejection."""
+        if n <= 0:
+            raise ValueError("randrange needs n >= 1")
+        # Reject draws from the incomplete top block of [0, 2^64).
+        limit = _MASK64 - (_MASK64 % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def shuffle(self, xs: list) -> None:
+        """In-place Fisher-Yates shuffle."""
+        for i in range(len(xs) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            xs[i], xs[j] = xs[j], xs[i]
 
 
 def brute_cheeger(g: Graph) -> Fraction:
@@ -164,7 +201,7 @@ def spanning_girth_feasible(host: Graph, t: int) -> bool:
 
 def random_connected_graph(n: int, seed: int, extra_edges: int = 0) -> Graph:
     """Random spanning tree plus `extra_edges` random chords; deterministic."""
-    stream = Stream(seed)
+    stream = ScalarStream(seed)
     edges = set()
     for v in range(1, n):
         u = stream.randrange(v)

@@ -23,7 +23,7 @@ from expanderlab.graphcore import (
     shortest_cycle_scan,
     write_edge_list_text,
 )
-from oracles import girth_by_edge_removal, random_connected_graph, reconstruct_cycle
+from oracles import ScalarStream, girth_by_edge_removal, random_connected_graph, reconstruct_cycle
 
 
 def cycle(n):
@@ -404,11 +404,9 @@ class TestEdgeSubgraph:
                 edge_subgraph(cycle(5), [edge])
 
     def test_vertex_count_always_preserved(self):
-        from expanderlab.rng import Stream
-
         for seed in range(10):
             g = random_connected_graph(13, 300 + seed, extra_edges=8)
-            stream = Stream(seed)
+            stream = ScalarStream(seed)
             keep = [e for e in g.edges() if stream.uniform() < 0.5]
             assert edge_subgraph(g, keep).n == g.n
 

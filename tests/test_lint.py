@@ -11,7 +11,9 @@ lowercase letter (dunders excepted): module-level values are UPPER_CASE
 constants, so no module holds state that a call can change. No top-level
 `src/` function gives a non-None default to a parameter that every `src/`
 call of it passes: a default that nothing relies on states its value a
-second time, beside the one its callers set.
+second time, beside the one its callers set. No `src/` module uses the
+stdlib `random` module or `numpy.random`: every sample comes from a seeded
+`rng.Stream`, so a seed fixes every output on every platform.
 """
 
 import ast
@@ -137,6 +139,41 @@ def unrelied_defaults(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def random_module_uses(source: str) -> list[str]:
+    """Imports of `random`, `numpy.random` or anything in them, and reads of `<numpy>.random`.
+
+    `<numpy>` is any name `import numpy` binds, `np` included.
+    """
+    tree = ast.parse(source)
+    numpy_names = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                if alias.name in ("random", "numpy.random") or alias.name.startswith(
+                    ("random.", "numpy.random.")
+                ):
+                    found.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            names = {alias.name for alias in node.names}
+            if module.split(".")[0] == "random" or module.startswith("numpy.random") or (
+                module == "numpy" and "random" in names
+            ):
+                found.append(f"line {node.lineno}: from {module} import {', '.join(sorted(names))}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in numpy_names
+        ):
+            found.append(f"line {node.lineno}: {node.value.id}.random")
+    return found
+
+
 def test_check_sees_unused_names():
     source = "import os, a.b\nfrom x import y as z, w\nfrom __future__ import annotations\nw()\n"
     assert unused_imports(source) == ["line 1: os", "line 1: a", "line 2: z"]
@@ -216,3 +253,21 @@ def test_check_sees_unrelied_defaults():
 def test_every_default_is_relied_on():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
     assert unrelied_defaults(sources) == []
+
+
+def test_check_sees_random_modules():
+    source = (
+        "import numpy as np\nimport random\nfrom random import shuffle\nimport numpy.random\n"
+        "from numpy import random as r, pi\nfrom numpy.random import default_rng\n"
+        "from .rng import Stream\nx = np.random.default_rng(0)\ny = np.pi\nz = rng.random\n"
+    )
+    assert random_module_uses(source) == [
+        "line 2: import random", "line 3: from random import shuffle",
+        "line 4: import numpy.random", "line 5: from numpy import pi, random",
+        "line 6: from numpy.random import default_rng", "line 8: np.random",
+    ]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_random_module(path):
+    assert random_module_uses(path.read_text(encoding="utf-8")) == []

@@ -18,13 +18,12 @@ from expanderlab.matgroups import (
     is_prime_power,
     sl2_order,
 )
-from expanderlab.rng import Stream
-from oracles import cayley_graph_reference, make_symmetric, words_avoid_identity
+from oracles import ScalarStream, cayley_graph_reference, make_symmetric, words_avoid_identity
 
 IDENT = (1, 0, 0, 1)
 
 
-def random_sl2(q: int, stream: Stream) -> tuple:
+def random_sl2(q: int, stream: ScalarStream) -> tuple:
     """Random product of elementary generators — always determinant 1."""
     gens = [(1, 1, 0, 1), (1, q - 1, 0, 1), (1, 0, 1, 1), (1, 0, q - 1, 1)]
     x = IDENT
@@ -60,7 +59,7 @@ class TestMatrixArithmetic:
 
     def test_group_laws_random(self):
         for q in (3, 5, 9, 25, 27):
-            stream = Stream(q * 17)
+            stream = ScalarStream(q * 17)
             for _ in range(1000):
                 a, b, c = (random_sl2(q, stream) for _ in range(3))
                 assert group_mul(group_mul(a, b, q), c, q) == group_mul(a, group_mul(b, c, q), q)
@@ -69,7 +68,7 @@ class TestMatrixArithmetic:
 
     def test_product_blocks_componentwise(self):
         q = 9
-        stream = Stream(5)
+        stream = ScalarStream(5)
         for _ in range(200):
             a, b, c, d = (random_sl2(q, stream) for _ in range(4))
             assert group_mul(a + b, c + d, q) == group_mul(a, c, q) + group_mul(b, d, q)
@@ -84,7 +83,7 @@ class TestReduce:
 
     def test_homomorphism_random(self):
         for q, q_new in ((9, 3), (25, 5), (27, 9), (27, 3)):
-            stream = Stream(q)
+            stream = ScalarStream(q)
             for _ in range(250):
                 a = random_sl2(q, stream)
                 b = random_sl2(q, stream)
@@ -213,7 +212,7 @@ class TestCayleyGraph:
         res = cayley_graph(elementary(5), 5)
         g = res.graph
         base = sorted(bfs_distances(g.adj, 0))
-        stream = Stream(99)
+        stream = ScalarStream(99)
         for _ in range(10):
             v = stream.randrange(g.n)
             assert len(g.adj[v]) == len(g.adj[0])

@@ -412,6 +412,27 @@ class TestSearch:
         assert p == expected
         assert not 0.05 <= p <= 0.95
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_host_spectrum_gap_reused_only_for_the_host(self, strategy):
+        # target 3 returns the host itself, with no second solve; target 5 does not
+        host = random_regular(20, 4, seed=3000)
+        host_spec = spectrum(host)
+        with mock.patch("expanderlab.search.spectrum", side_effect=AssertionError("re-solved")):
+            same = search_spanning_subexpander(
+                host, girth_target=3, strategy=strategy, budget=300, seed=1,
+                host_spectrum=host_spec,
+            )
+        assert same.graph == host
+        assert same == search_spanning_subexpander(
+            host, girth_target=3, strategy=strategy, budget=300, seed=1
+        )
+        marked = mock.Mock(rho_star=host_spec.rho_star, gap=-1.0)
+        other = search_spanning_subexpander(
+            host, girth_target=5, strategy=strategy, budget=300, seed=1, host_spectrum=marked
+        )
+        assert other.graph != host
+        assert other.gap == spectrum(other.graph).gap
+
     @pytest.mark.parametrize("strategy", ["trim", "percolate-repair"])
     def test_contract_on_random_hosts(self, strategy):
         for seed in range(6):
