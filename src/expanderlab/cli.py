@@ -316,7 +316,12 @@ def _cmd_rerun(args) -> int:
         isinstance(x, str) for x in [*argv, *expected.values()]
     ):
         raise ValueError(f"manifest {args.manifest} has no argv to replay or no outputs to check")
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 1 on a usage error
+        if exc.code:
+            raise
+        raise ValueError(f"manifest {args.manifest} argv runs no command") from None
     if code != 0:
         return code
     mismatched = [p for p, digest in expected.items() if _sha256(Path(p)) != digest]

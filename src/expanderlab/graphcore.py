@@ -10,6 +10,9 @@ whose sorted lists stay symmetric edit by edit, `matgroups.cayley_graph`,
 whose lists are simple by construction (right multiplication is injective,
 no generator is the identity, and the generators are closed under inverses),
 and `induced_ball`, since an induced subgraph of a simple graph is simple.
+`bfs_distances` is the one single-source layered BFS (`is_connected` and
+`induced_ball` read it), and `UNBOUNDED` (`math.inf`) the one value that
+says no finite number bounds a distance, girth or diameter.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ComputationRefused
 
-#: Distance sentinel for vertices a BFS cannot reach.
-UNREACHABLE = -1
+#: The distance of an unreachable pair, the girth of a forest, the diameter of a disconnected graph.
+UNBOUNDED = math.inf
 #: Largest vertex count any graph may have; refused before anything is built.
 VERTEX_CAP = 4_000_000
 #: Largest edge count a family may ask for; refused before anything is built.
@@ -107,17 +110,18 @@ def bfs_distances(
     source: int,
     *,
     max_depth: Optional[int] = None,
-) -> list[int]:
+) -> dict[int, int]:
     """Unweighted distances from `source` over an adjacency sequence.
 
-    `adj` is `Graph.adj` or any adjacency lists. The BFS stops after
-    `max_depth` layers; every vertex it did not label holds UNREACHABLE.
+    `adj` is `Graph.adj` or any adjacency lists. The result maps each vertex
+    the BFS labelled to its distance, in BFS order, so the values never
+    decrease. The BFS stops after `max_depth` layers (None: no cap), so a
+    capped call visits only the ball and holds only its vertices.
     """
     n = len(adj)
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for n={n}")
-    dist = [UNREACHABLE] * n
-    dist[source] = 0
+    dist = {source: 0}
     depth_cap = n if max_depth is None else max_depth
     frontier = [source]
     d = 0
@@ -126,23 +130,22 @@ def bfs_distances(
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if dist[v] < 0:
+                if v not in dist:
                     dist[v] = d
                     nxt.append(v)
         frontier = nxt
     return dist
 
 
-def pair_distance(
-    adj: Sequence[Iterable[int]], s: int, t: int, max_depth: Optional[int] = None
-) -> int:
-    """Distance from `s` to `t`, or UNREACHABLE if it exceeds `max_depth`.
+def pair_distance(adj: Sequence[Iterable[int]], s: int, t: int, max_depth: int) -> float:
+    """Distance from `s` to `t` if it is at most `max_depth`, else UNBOUNDED.
 
     Bidirectional BFS (Pohl): each step grows the smaller frontier by one
     full layer, so the two radii rs, rt sum to one more per step and the
     first vertex labelled from both sides closes a shortest path. The search
     gives up when either frontier runs dry (s and t are disconnected) or
-    when rs + rt reaches `max_depth`. `adj` is as for `bfs_distances`.
+    when rs + rt reaches `max_depth`; UNBOUNDED exceeds every finite bound,
+    so `min(bound, ...)` keeps the bound. `adj` is as for `bfs_distances`.
     """
     n = len(adj)
     if not (0 <= s < n and 0 <= t < n):
@@ -155,8 +158,7 @@ def pair_distance(
     mark[t] = -1
     fs, ft = [s], [t]
     rs = rt = 0
-    cap = n if max_depth is None else max_depth
-    while fs and ft and rs + rt < cap:
+    while fs and ft and rs + rt < max_depth:
         if len(fs) <= len(ft):
             nxt = []
             label = rs + 2
@@ -183,7 +185,7 @@ def pair_distance(
                         return rt + m
             ft = nxt
             rt += 1
-    return UNREACHABLE
+    return UNBOUNDED
 
 
 def reach_blocks(adj: Sequence[Iterable[int]]) -> Iterator[tuple[int, int, Iterator[list[int]]]]:
@@ -221,7 +223,7 @@ def _reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[li
         pending = [v for v in pending if reach[v] != full]
 
 
-def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=math.inf, roots=None):
+def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=UNBOUNDED, roots=None):
     """(length, cycle) of a shortest cycle shorter than `below`, or None.
 
     BFS from each vertex of `roots` (default: all) with earliest cross/back-
@@ -241,7 +243,7 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=math.inf, roots=None
     best = below
     cycle = None
     # explore while the current depth <= depth_limit
-    depth_limit = n if best == math.inf else (best - 2) // 2
+    depth_limit = n if best == UNBOUNDED else (best - 2) // 2
     token = [-1] * n
     dist = [0] * n
     parent = [0] * n
@@ -286,8 +288,7 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=math.inf, roots=None
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches every vertex (single vertex counts)."""
-    dist = bfs_distances(g.adj, 0)
-    return UNREACHABLE not in dist
+    return len(bfs_distances(g.adj, 0)) == g.n
 
 
 def induced_ball(g: Graph, center: int, r: int) -> Graph:
@@ -297,24 +298,10 @@ def induced_ball(g: Graph, center: int, r: int) -> Graph:
     neighbours inside the ball, relabeled by a monotone map, so the lists are
     frozen as they are.
     """
-    if not 0 <= center < g.n:
-        raise ValueError(f"center {center} out of range for n={g.n}")
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
+    index = {v: i for i, v in enumerate(sorted(bfs_distances(g.adj, center, max_depth=r)))}
     adj = g.adj
-    seen = {center}
-    frontier = [center]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
-            break
-        frontier = nxt
-    index = {v: i for i, v in enumerate(sorted(seen))}
     return Graph(len(index), tuple(tuple(index[v] for v in adj[u] if v in index) for u in index))
 
 

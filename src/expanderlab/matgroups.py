@@ -200,7 +200,7 @@ class TowerRow:
     modulus: int
     vertices: int
     degree: int
-    girth: object  # int or math.inf
+    girth: object  # int or UNBOUNDED
     gap: float
     reached_order: int
     full_group_order: Optional[int]

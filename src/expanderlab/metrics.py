@@ -30,10 +30,7 @@ import numpy as np
 
 from . import graphcore
 from .errors import ComputationRefused
-from .graphcore import Graph, induced_ball, is_connected, shortest_cycle_scan
-
-#: Sentinel for "no cycle" (girth) and "some pair unreachable" (diameter).
-UNBOUNDED = math.inf
+from .graphcore import UNBOUNDED, Graph, induced_ball, is_connected, shortest_cycle_scan
 
 DEFAULT_EXACT_MAX = 24
 #: Largest induced ball whose exact h `ball_expansion_profile` reports.

@@ -44,7 +44,6 @@ from .builders import (
     with_defaults,
 )
 from .graphcore import (
-    UNREACHABLE,
     Graph,
     edge_subgraph,
     is_connected,
@@ -192,8 +191,7 @@ def augment_edges(host: Graph, sub: Graph, girth_floor: int, budget: int) -> Gra
     while heap and adds < budget:
         neg, u, v = heapq.heappop(heap)
         stored = -neg
-        d = pair_distance(adj, u, v, stored - 1)
-        cur = stored if d == UNREACHABLE else d
+        cur = min(stored, pair_distance(adj, u, v, stored - 1))
         if cur < stored:
             if cur >= need:
                 heapq.heappush(heap, (-cur, u, v))

@@ -10,8 +10,10 @@ enumerations as they once were, one interpreted step per subset.
 pruned BFS, as trimming once did, and `walk_matrix_dense` fills the walk
 matrix in a Python loop, as the dense spectrum once did. The search
 reference at the end is the plain version of `augment_edges`: one
-target-stopped BFS per distance. `percolation_sweep_reference` is the sweep
-as it once was, one `percolate` and one `component_summary` per (p, seed).
+target-stopped BFS per distance, from `bfs_distances`, the list-form BFS
+as `graphcore` once had it (`UNREACHABLE` = -1 for an unlabelled vertex),
+which the dict form must agree with. `percolation_sweep_reference` is the
+sweep as it once was, one `percolate` and one `component_summary` per (p, seed).
 `ScalarStream` is `rng.Stream` as it once was, one interpreted SplitMix64
 draw per call; the block draws must equal it bit for bit, and tests that
 need scalar draws (`random_connected_graph` among them) take them from it.
@@ -32,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from expanderlab.errors import ComputationRefused
-from expanderlab.graphcore import UNREACHABLE, Graph, edge_subgraph, from_edges
+from expanderlab.graphcore import Graph, edge_subgraph, from_edges
 from expanderlab.matgroups import (
     ORDER_CAP,
     CayleyResult,
@@ -335,6 +337,9 @@ def walk_matrix_dense(g: Graph) -> np.ndarray:
 
 
 # --- search references ----------------------------------------------------
+
+#: What the list-form `bfs_distances` below holds for a vertex it did not label.
+UNREACHABLE = -1
 
 
 def bfs_distances(

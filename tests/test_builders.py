@@ -21,12 +21,11 @@ from expanderlab.builders import (
 from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import (
     Graph,
-    bfs_distances,
     from_edges,
     is_connected,
     write_edge_list_text,
 )
-from oracles import random_connected_graph
+from oracles import bfs_distances, random_connected_graph
 
 
 class TestRandomRegular:

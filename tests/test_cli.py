@@ -355,6 +355,20 @@ class TestProbeAndManifest:
         assert run(["rerun", manifest_path]) == cli.EXIT_INPUT
         assert "replays rerun" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--version"], ["gen", "--help"]], ids=["version", "help"])
+    def test_rerun_of_an_argv_that_runs_no_command_exit2(self, tmp_path, capsys, argv):
+        # argparse prints and exits 0 before any command runs, so no output was replayed
+        out = tmp_path / "g.el"
+        assert run(["gen", "cycle:n=5", "-o", out]) == 0
+        manifest_path = tmp_path / "g.el.manifest.json"
+        assert run(["rerun", manifest_path]) == 0  # the recorded digests match
+        manifest = json.loads(manifest_path.read_text())
+        manifest["argv"] = argv
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", manifest_path]) == cli.EXIT_INPUT
+        assert "runs no command" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "manifest",
         [

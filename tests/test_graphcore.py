@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import graphcore
+from expanderlab import graphcore, metrics
 from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import (
-    UNREACHABLE,
     bfs_distances,
     edge_subgraph,
     from_edges,
@@ -23,11 +22,26 @@ from expanderlab.graphcore import (
     shortest_cycle_scan,
     write_edge_list_text,
 )
-from oracles import ScalarStream, girth_by_edge_removal, random_connected_graph, reconstruct_cycle
+from oracles import (
+    UNREACHABLE,
+    ScalarStream,
+    girth_by_edge_removal,
+    random_connected_graph,
+    reconstruct_cycle,
+)
+from oracles import bfs_distances as list_bfs
 
 
 def cycle(n):
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@st.composite
+def any_graph(draw):
+    """A simple graph on 1..14 vertices; most are disconnected, many have isolated vertices."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
 
 
 def complete(n):
@@ -94,16 +108,20 @@ class TestRoundTrip:
 
 
 class TestBfs:
+    # the dict form against the list-form oracle, which holds -1 where nothing was labelled
     def test_c8(self):
-        assert bfs_distances(cycle(8).adj, 0) == [0, 1, 2, 3, 4, 3, 2, 1]
+        dist = bfs_distances(cycle(8).adj, 0)
+        assert list(dist.items()) == [(0, 0), (1, 1), (7, 1), (2, 2), (6, 2), (3, 3), (5, 3), (4, 4)]
+        assert [dist[v] for v in range(8)] == list_bfs(cycle(8).adj, 0)
 
     def test_k4(self):
-        assert bfs_distances(complete(4).adj, 0) == [0, 1, 1, 1]
+        assert bfs_distances(complete(4).adj, 0) == {0: 0, 1: 1, 2: 1, 3: 1}
 
     def test_unreachable_sentinel(self):
+        # an unreached vertex is absent from the dict; the oracle holds -1 for it
         g = from_edges(5, [(0, 1), (2, 3)])
-        dist = bfs_distances(g.adj, 0)
-        assert dist[2] == dist[3] == dist[4] == UNREACHABLE
+        assert bfs_distances(g.adj, 0) == {0: 0, 1: 1}
+        assert list_bfs(g.adj, 0) == [0, 1, UNREACHABLE, UNREACHABLE, UNREACHABLE]
 
     def test_source_out_of_range(self):
         with pytest.raises(ValueError):
@@ -128,15 +146,25 @@ class TestBfs:
             g = from_edges(18, list(g.edges()))  # two isolated vertices
             working = [set(a) for a in g.adj]
             for source in range(0, g.n, 3):
-                full = bfs_distances(g.adj, source)
+                full = list_bfs(g.adj, source)
                 for max_depth in (None, 0, 1, 2, 3, 5):
                     dist = bfs_distances(working, source, max_depth=max_depth)
                     cap = math.inf if max_depth is None else max_depth
-                    for v in range(g.n):
-                        if dist[v] != UNREACHABLE:
-                            assert dist[v] == full[v] <= cap
-                        else:
-                            assert full[v] == UNREACHABLE or full[v] > cap
+                    assert dist == {v: d for v, d in enumerate(full) if 0 <= d <= cap}
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(any_graph(), st.data())
+    def test_equals_list_oracle_at_every_cap(self, g, data):
+        # a capped BFS keeps exactly the vertices within max_depth, each with
+        # its true distance, in BFS order: the source first, then never decreasing
+        source = data.draw(st.integers(0, g.n - 1))
+        for adj in (g.adj, [set(a) for a in g.adj]):
+            for max_depth in (None, *range(g.n + 1)):
+                dist = bfs_distances(adj, source, max_depth=max_depth)
+                want = list_bfs(g.adj, source, max_depth=max_depth)
+                assert dist == {v: d for v, d in enumerate(want) if d != UNREACHABLE}
+                assert next(iter(dist)) == source
+                assert list(dist.values()) == sorted(dist.values())
 
 
 class TestPairDistance:
@@ -154,31 +182,41 @@ class TestPairDistance:
         for g in self.graphs():
             for adj in (g.adj, [list(a) for a in g.adj], [set(a) for a in g.adj]):
                 for s in range(g.n):
-                    full = bfs_distances(g.adj, s)
+                    full = list_bfs(g.adj, s)
                     for t in range(g.n):
                         want = full[t]
-                        assert pair_distance(adj, s, t) == want
                         for max_depth in range(g.n + 1):
-                            capped = want if 0 <= want <= max_depth else UNREACHABLE
+                            capped = want if 0 <= want <= max_depth else metrics.UNBOUNDED
                             assert pair_distance(adj, s, t, max_depth) == capped
 
     def test_same_vertex_is_zero_at_depth_zero(self):
         g = cycle(6)
         for v in range(6):
             assert pair_distance(g.adj, v, v, 0) == 0
-            assert pair_distance(g.adj, v, v) == 0
 
     def test_disconnected_pair_unreachable(self):
         g = from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        assert pair_distance(g.adj, 0, 4) == UNREACHABLE
-        assert pair_distance(g.adj, 2, 6) == UNREACHABLE
-        assert pair_distance(g.adj, 6, 0, 10) == UNREACHABLE
+        assert pair_distance(g.adj, 0, 4, 7) is metrics.UNBOUNDED
+        assert pair_distance(g.adj, 2, 6, 7) is metrics.UNBOUNDED
+        assert pair_distance(g.adj, 6, 0, 10) is metrics.UNBOUNDED
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(any_graph(), st.data())
+    def test_past_its_cap_is_unbounded(self, g, data):
+        s, t = data.draw(st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)))
+        want = list_bfs(g.adj, s)[t]
+        for max_depth in range(g.n + 1):
+            got = pair_distance(g.adj, s, t, max_depth)
+            if want == UNREACHABLE or want > max_depth:
+                assert got is metrics.UNBOUNDED
+            else:
+                assert got == want
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            pair_distance(cycle(4).adj, 0, 4)
+            pair_distance(cycle(4).adj, 0, 4, 4)
         with pytest.raises(ValueError):
-            pair_distance(cycle(4).adj, -1, 0)
+            pair_distance(cycle(4).adj, -1, 0, 4)
 
 
 def length_root(found):
@@ -282,14 +320,11 @@ class TestShortestCycleScan:
 
 class TestReachBlocks:
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-    @given(st.data(), st.integers(1, 14), st.sampled_from([1, 3, 4096]))
-    def test_levels_are_bfs_balls(self, data, n, block):
+    @given(any_graph(), st.sampled_from([1, 3, 4096]))
+    def test_levels_are_bfs_balls(self, g, block):
         # disconnected graphs included; blocks below n split the sources
-        pairs = data.draw(
-            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
-        )
-        g = from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
-        dist = [bfs_distances(g.adj, s) for s in range(n)]
+        n = g.n
+        dist = [list_bfs(g.adj, s) for s in range(n)]
         with mock.patch.object(graphcore, "REACH_BLOCK", block):
             blocks = [(lo, hi, list(levels)) for lo, hi, levels in graphcore.reach_blocks(g.adj)]
         assert [(lo, hi) for lo, hi, _ in blocks] == [
@@ -319,6 +354,12 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(from_edges(1, []))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(any_graph())
+    def test_agrees_with_list_oracle(self, g):
+        # most drawn graphs are disconnected
+        assert is_connected(g) == (UNREACHABLE not in list_bfs(g.adj, 0))
 
 
 class TestInducedSubgraph:
@@ -350,6 +391,10 @@ class TestInducedBall:
         ball = induced_ball(cycle(10), 3, 0)
         assert ball.n == 1 and ball.m == 0
 
+    def test_center_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            induced_ball(cycle(4), 4, 1)
+
     def test_r_at_least_diameter(self):
         g = cycle(9)
         ball = induced_ball(g, 4, 9)
@@ -360,8 +405,7 @@ class TestInducedBall:
             g = random_connected_graph(15, 200 + seed, extra_edges=5)
             prev = set()
             for r in range(6):
-                dist = bfs_distances(g.adj, 0)
-                members = {v for v, d in enumerate(dist) if 0 <= d <= r}
+                members = set(bfs_distances(g.adj, 0, max_depth=r))
                 assert prev <= members
                 prev = members
 
@@ -370,7 +414,7 @@ class TestInducedBall:
         for seed in range(6):
             g = random_connected_graph(20, 600 + seed, extra_edges=8)
             for center in range(0, g.n, 4):
-                full = bfs_distances(g.adj, center)
+                full = list_bfs(g.adj, center)
                 for r in range(4):
                     members = [v for v, d in enumerate(full) if 0 <= d <= r]
                     index = {v: i for i, v in enumerate(members)}

@@ -6,8 +6,10 @@ Every name a module imports at top level is read in it: `import a.b` binds
 top level is read in that same module. Every public name a `src/` module
 defines at top level is read outside `tests/`: loaded as a name or an
 attribute in `src/`, mentioned in `bench/*.py`, or named by the console
-script in `pyproject.toml`. No `src/` module binds a top-level name with a
-lowercase letter (dunders excepted): module-level values are UPPER_CASE
+script in `pyproject.toml`. Every public method or property of a `src/`
+class with no base classes is read as an attribute in `src/`: a method that
+only tests call is a wrapper kept alive by them. No `src/` module binds a
+top-level name with a lowercase letter (dunders excepted): module-level values are UPPER_CASE
 constants, so no module holds state that a call can change. No top-level
 `src/` function gives a non-None default to a parameter that every `src/`
 call of it passes: a default that nothing relies on states its value a
@@ -101,6 +103,29 @@ def unread_public_names(sources: dict[str, str], other_text: str) -> list[str]:
         for file, tree in trees.items()
         for name, line in _top_level_defs(tree).items()
         if not name.startswith("_") and name not in read
+    ]
+
+
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """Public methods and properties of top-level base-less classes that no attribute load reads.
+
+    Both the classes and the reads are those of `sources` (file name -> text).
+    A read matches by attribute name alone, whatever object it is read from.
+    A class with a base may define a method for the base's callers, so it is skipped.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {
+        n.attr for t in trees.values() for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        f"{file} line {node.lineno}: {cls.name}.{node.name}"
+        for file, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.bases
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in read
     ]
 
 
@@ -218,6 +243,25 @@ def test_no_public_name_read_only_by_tests():
     project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = project.split("[project.scripts]")[1].split("\n[")[0]
     assert unread_public_names(sources, bench + "\n" + scripts) == []
+
+
+def test_check_sees_unread_methods():
+    sources = {
+        "a.py": (
+            "class C:\n    def used(self):\n        return self.p\n    def unused(self):\n"
+            "        pass\n    @property\n    def p(self):\n        return 1\n"
+            "    @property\n    def q(self):\n        return 2\n    def _private(self):\n"
+            "        pass\n    def __len__(self):\n        return 0\n"
+            "class D(C):\n    def hook(self):\n        pass\n"
+        ),
+        "b.py": "import a\na.C().used()\nunused = 1\n",
+    }
+    assert unread_methods(sources) == ["a.py line 4: C.unused", "a.py line 10: C.q"]
+
+
+def test_no_method_read_only_by_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    assert unread_methods(sources) == []
 
 
 def test_check_sees_module_state():

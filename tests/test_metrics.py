@@ -33,6 +33,7 @@ from expanderlab.metrics import (
 )
 from oracles import (
     ScalarStream,
+    bfs_distances,
     brute_cheeger,
     brute_conductance,
     cheeger_dp,
@@ -246,7 +247,7 @@ def _connected_graphs(draw):
         return random_connected_graph(n, seed, extra_edges=draw(st.integers(0, 3 * n)))
     if kind == "bipartite":
         tree = random_connected_graph(n, seed)
-        side = [dist % 2 for dist in graphcore.bfs_distances(tree.adj, 0)]
+        side = [dist % 2 for dist in bfs_distances(tree.adj, 0)]
         vertex = st.integers(0, n - 1)
         pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
         chords = {(min(u, v), max(u, v)) for u, v in pairs if side[u] != side[v]}
