@@ -223,7 +223,7 @@ def _reach_levels(adj: Sequence[Iterable[int]], lo: int, hi: int) -> Iterator[li
         pending = [v for v in pending if reach[v] != full]
 
 
-def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=UNBOUNDED, roots=None):
+def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=UNBOUNDED, roots=None, floor=3):
     """(length, cycle) of a shortest cycle shorter than `below`, or None.
 
     BFS from each vertex of `roots` (default: all) with earliest cross/back-
@@ -236,8 +236,11 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=UNBOUNDED, roots=Non
     root may be missed, and from a root on no shortest cycle the list may be a
     closed walk rather than a simple cycle: a triangle with a three-edge tail,
     scanned from the tail's end, gives a walk of 9 down the tail and back.
-    `below` is a lower bound on the girth asked for: every simple graph meets
-    3 or less, so such a bound returns None after the first root.
+    `below` is a lower bound on the girth asked for, and `floor` one known on
+    the girth: the scan stops after the first root whose best length is at
+    most `floor`, since no later root can find a shorter one. Every simple
+    graph has girth at least 3, so a `below` of 3 or less returns None after
+    the first root.
     """
     n = len(adj)
     best = below
@@ -281,7 +284,7 @@ def shortest_cycle_scan(adj: Sequence[Iterable[int]], below=UNBOUNDED, roots=Non
                                 w = parent[w]
             frontier = nxt
             du += 1
-        if best <= 3:
+        if best <= floor:
             break
     return None if cycle is None else (best, cycle)
 

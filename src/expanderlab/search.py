@@ -20,6 +20,20 @@ connectivity), which is also the check that it lies in the host — nothing is
 trusted from the search loop's bookkeeping. percolate-repair percolates at
 p = min(1, 1/(rho_star * d)), the edge of the paper's window rho_star * d * p < 1.
 
+`augment_edges` adds the candidate at the largest current distance, ties
+lexicographic, and has two paths to the same edges. When the host offers at
+least 2n candidates and the budget is below their count C, as on the powers
+of an expander, it keeps every candidate's exact distance in numpy arrays and
+updates all of them after each addition from one BFS out of both ends of the
+new edge uv: a pair whose ends are nearer different ends of uv gets the path
+through it, and no other pair can get shorter. Otherwise a lazy heap
+re-measures each popped pair by a bidirectional BFS. On sparse candidates
+the heap's few re-measures cost less than a pass per addition; at budgets of
+C or more the greedy runs to exhaustion, one step per candidate at low
+floors, and the passes over all C candidates add up to C^2 work.
+`trim_to_girth` resumes each shortest-cycle scan at the root of the last
+cycle found, with that cycle's length as a known girth floor.
+
 `conjecture_probe` runs its (host, ratio, strategy) cells in a fork pool; its
 docstring says how, and why the outputs do not depend on the worker count.
 """
@@ -33,6 +47,8 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import graphcore
 from .builders import (
@@ -79,13 +95,19 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
     input is preserved; the vertex set always is. Removals keep the working
     lists sorted, so the result is frozen from them without re-validation.
     The target is a lower bound, so one of 3 or less returns `g` unchanged.
+
+    A scan returns the first root, in vertex order, on which its BFS finds a
+    cycle of the girth L. Every earlier root saw none of length L or less,
+    and deleting an edge never shortens what a root's BFS finds, so after a
+    deletion the scan resumes at that root, asking for length L and stopping
+    at the first root that finds it (girth floor L): it returns what a full
+    rescan would. If no cycle of length L is left, one full scan follows,
+    stopping at the first root that finds L + 1.
     """
     n = g.n
     adj = [list(a) for a in g.adj]
-    while True:
-        found = shortest_cycle_scan(adj, below=target)
-        if found is None:
-            break
+    found = shortest_cycle_scan(adj, below=target)
+    while found is not None:
         length, cycle = found
         if len(set(cycle)) != length:
             raise RuntimeError(f"shortest cycle of length {length} is not a simple cycle")
@@ -101,6 +123,9 @@ def trim_to_girth(g: Graph, target: int) -> Graph:
         u, v = best_edge
         adj[u].remove(v)
         adj[v].remove(u)
+        found = shortest_cycle_scan(adj, below=length + 1, roots=range(cycle[0], n), floor=length)
+        if found is None:
+            found = shortest_cycle_scan(adj, below=target, floor=length + 1)
     return Graph(n, tuple(map(tuple, adj)))
 
 
@@ -170,36 +195,101 @@ def augment_edges(host: Graph, sub: Graph, girth_floor: int, budget: int) -> Gra
 
     `sub` is a connected spanning subgraph of `host` (`reconnect_repair`
     joins components). A candidate {u,v} is added only while
-    dist_sub(u,v) >= girth_floor - 1, so every cycle it creates has length
-    >= girth_floor. Candidates are processed by decreasing current distance
-    (ties lexicographic), until the budget is spent or none qualify.
-    Distances only shrink as edges arrive, so a lazy max-heap with
-    re-validation is exact, and a pair already closer than the floor is never
-    queued. A popped pair is re-measured by a bidirectional BFS capped at
-    depth stored - 1: the current distance is at most the stored one, so
-    finding nothing within that depth means it still equals the stored one,
-    and the deepest layer is never expanded. No pair is closer than 2, so a
-    floor of 3 or less adds exactly what floor 3 adds.
+    dist_sub(u,v) >= need = max(girth_floor, 3) - 1, so every cycle it
+    creates has length >= girth_floor; no pair is closer than 2, so a floor
+    of 3 or less adds exactly what floor 3 adds. Each step adds the candidate
+    at the largest current distance (ties lexicographic), until the budget is
+    spent or none qualify. Distances only shrink as edges arrive. Two paths
+    give the same edges:
+
+    - Dense (at least 2n candidates, budget below their count C):
+      `_add_farthest` keeps every candidate's exact distance D. After adding
+      uv at distance top, one BFS out of both ends, capped at depth top - 2,
+      gives each vertex x its distance f(x) to the nearer end, and every
+      pair gets D = min(D, f(x) + f(y) + 1). That is exact. When x and y are
+      nearer different ends, f(x) + f(y) + 1 is the shortest path through
+      uv. When both are nearer one end, they were already joined through it
+      by a path of length f(x) + f(y), so D stays, and every path through uv
+      is longer. A path through uv from an end past the cap is at least top
+      long, and top is at least every D.
+    - Otherwise a lazy max-heap with re-validation: a popped pair is
+      re-measured by a bidirectional BFS capped at depth stored - 1. The
+      current distance is at most the stored one, so finding nothing within
+      that depth means it still equals the stored one, and the deepest layer
+      is never expanded. A pair closer than `need` is dropped.
+
+    The heap re-measures each stale pair it pops, which is cheap when few
+    are stale; when many are, as on the powers of an expander, one pass per
+    addition that updates every pair wins. At a budget of C or more the
+    greedy runs to exhaustion, one step per candidate at low floors, and
+    the passes over all C candidates add up to C^2 work, so the heap runs.
     """
     if not is_connected(sub):
         raise ValueError("augment_edges requires a connected subgraph")
     adj = [list(a) for a in sub.adj]
-    need = girth_floor - 1
-    heap = _far_candidates(host, sub, need)
-    heapq.heapify(heap)
+    need = max(girth_floor, 3) - 1
+    cands = _far_candidates(host, sub, need)
+    if len(cands) >= 2 * host.n and budget < len(cands):
+        _add_farthest(adj, cands, need, budget)
+        return Graph(host.n, tuple(map(tuple, adj)))
+    heapq.heapify(cands)
     adds = 0
-    while heap and adds < budget:
-        neg, u, v = heapq.heappop(heap)
+    while cands and adds < budget:
+        neg, u, v = heapq.heappop(cands)
         stored = -neg
         cur = min(stored, pair_distance(adj, u, v, stored - 1))
         if cur < stored:
             if cur >= need:
-                heapq.heappush(heap, (-cur, u, v))
+                heapq.heappush(cands, (-cur, u, v))
             continue  # else: can never qualify again — drop
         insort(adj[u], v)
         insort(adj[v], u)
         adds += 1
     return Graph(host.n, tuple(map(tuple, adj)))
+
+
+def _add_farthest(adj: list[list[int]], cands: list[tuple], need: int, budget: int) -> None:
+    """The dense path of `augment_edges`, adding to the sorted lists `adj`.
+
+    Arrays U, V, D hold every candidate (-D, U, V) of `cands`, sorted by
+    (U, V), so the first index of `D.argmax()` is the lexicographic
+    tie-break. f holds each vertex's distance to the nearer end of the last
+    addition; vertices past the cap keep f = top, so their pairs keep D. An
+    added pair's D becomes 1, below `need`.
+    """
+    table = np.array(cands, dtype=np.int64)
+    neg, U, V = table[np.lexsort((table[:, 2], table[:, 1]))].T.copy()
+    D = -neg
+    f = np.empty(len(adj), dtype=np.int64)
+    for _ in range(budget):
+        i = int(D.argmax())
+        top = int(D[i])
+        if top < need:
+            break
+        u, v = int(U[i]), int(V[i])
+        insort(adj[u], v)
+        insort(adj[v], u)
+        f.fill(top)
+        seen = [False] * len(adj)
+        seen[u] = seen[v] = True
+        front = [u, v]
+        for d in range(top - 1):
+            f[front] = d
+            if d == top - 2 or not front:
+                break
+            front = _next_layer(adj, front, seen)
+        np.minimum(D, f[U] + f[V] + 1, out=D)
+
+
+def _next_layer(adj: list[list[int]], front: list[int], seen: list[bool]) -> list[int]:
+    """The unseen neighbours of `front`, marked seen."""
+    nxt = []
+    for x in front:
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                nxt.append(y)
+    return nxt
 
 
 # --- search --------------------------------------------------------------

@@ -9,16 +9,17 @@ enumerations as they once were, one interpreted step per subset.
 `reconstruct_cycle` rebuilds a shortest cycle by a second
 pruned BFS, as trimming once did, and `walk_matrix_dense` fills the walk
 matrix in a Python loop, as the dense spectrum once did. The search
-reference at the end is the plain version of `augment_edges`: one
-target-stopped BFS per distance, from `bfs_distances`, the list-form BFS
-as `graphcore` once had it (`UNREACHABLE` = -1 for an unlabelled vertex),
+references at the end are `trim_to_girth` as it once was, with a full
+shortest-cycle scan after every deletion, and the plain version of
+`augment_edges`: one target-stopped BFS per distance, from
+`bfs_distances`, the list-form BFS as `graphcore` once had it (`UNREACHABLE` = -1 for an unlabelled vertex),
 which the dict form must agree with. `percolation_sweep_reference` is the
 sweep as it once was, one `percolate` and one `component_summary` per (p, seed).
 `ScalarStream` is `rng.Stream` as it once was, one interpreted SplitMix64
 draw per call; the block draws must equal it bit for bit, and tests that
 need scalar draws (`random_connected_graph` among them) take them from it.
-`words_avoid_identity` checks the freeness of a generator pair in SL(2, Z)
-up to a word length. `make_symmetric` and `cayley_graph_reference` are the
+`ReadRows` records which adjacency rows a BFS reads. `words_avoid_identity`
+checks the freeness of a generator pair in SL(2, Z) up to a word length. `make_symmetric` and `cayley_graph_reference` are the
 Cayley build as it once was: a `GeneratorSet` closed under inverses, then an
 edge set normalised pair by pair and handed to `from_edges`.
 """
@@ -34,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from expanderlab.errors import ComputationRefused
-from expanderlab.graphcore import Graph, edge_subgraph, from_edges
+from expanderlab.graphcore import Graph, edge_subgraph, from_edges, shortest_cycle_scan
 from expanderlab.matgroups import (
     ORDER_CAP,
     CayleyResult,
@@ -199,6 +200,18 @@ def spanning_girth_feasible(host: Graph, t: int) -> bool:
         if gv == math.inf or gv >= t:
             return True
     return False
+
+
+class ReadRows(list):
+    """Adjacency lists that record which rows were read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, u):
+        self.read.add(u)
+        return super().__getitem__(u)
 
 
 def random_connected_graph(n: int, seed: int, extra_edges: int = 0) -> Graph:
@@ -385,6 +398,32 @@ def diameter_per_source(g: Graph):
             return math.inf
         worst = max(worst, max(dist))
     return worst
+
+
+def trim_to_girth_reference(g: Graph, target: int) -> Graph:
+    """`search.trim_to_girth` with a full scan from vertex 0 after every deletion."""
+    n = g.n
+    adj = [list(a) for a in g.adj]
+    while True:
+        found = shortest_cycle_scan(adj, below=target)
+        if found is None:
+            break
+        length, cycle = found
+        if len(set(cycle)) != length:
+            raise RuntimeError(f"shortest cycle of length {length} is not a simple cycle")
+        best_edge = None
+        best_score = -1
+        for i in range(length):
+            u, v = cycle[i], cycle[(i + 1) % length]
+            e = (u, v) if u < v else (v, u)
+            score = len(adj[u]) + len(adj[v])
+            if score > best_score or (score == best_score and e < best_edge):
+                best_score = score
+                best_edge = e
+        u, v = best_edge
+        adj[u].remove(v)
+        adj[v].remove(u)
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 def augment_edges_reference(

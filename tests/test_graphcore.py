@@ -24,6 +24,7 @@ from expanderlab.graphcore import (
 )
 from oracles import (
     UNREACHABLE,
+    ReadRows,
     ScalarStream,
     girth_by_edge_removal,
     random_connected_graph,
@@ -316,6 +317,21 @@ class TestShortestCycleScan:
                 reconstruct_cycle(g.adj, g.n, cyc[0], length)
         if not rooted:
             assert length == oracle
+
+    def test_girth_floor_stops_at_the_first_root_with_the_girth(self):
+        # a floor at most the girth changes only where the scan stops: after
+        # the first root that finds the girth, which no later root can beat
+        for g in self.graphs():
+            found = shortest_cycle_scan(g.adj)
+            girth = math.inf if found is None else found[0]
+            for floor in (2, 3, 4, 6, 9):
+                if floor <= girth:
+                    assert shortest_cycle_scan(g.adj, floor=floor) == found
+            if found is not None:
+                rows, upto = ReadRows(g.adj), ReadRows(g.adj)
+                assert shortest_cycle_scan(rows, floor=girth) == found
+                assert shortest_cycle_scan(upto, roots=range(found[1][0] + 1)) == found
+                assert rows.read == upto.read
 
 
 class TestReachBlocks:

@@ -4,11 +4,11 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import builders, graphcore, search
-from expanderlab.builders import named_graph, parse_family_spec, random_regular
+from expanderlab.builders import graph_power, named_graph, parse_family_spec, random_regular
 from expanderlab.errors import ComputationRefused
 from expanderlab.graphcore import edge_subgraph, from_edges, is_connected, shortest_cycle_scan
 from expanderlab.metrics import UNBOUNDED, girth, spectrum
@@ -24,9 +24,11 @@ from expanderlab.search import (
     trim_to_girth,
 )
 from oracles import (
+    ReadRows,
     augment_edges_reference,
     bfs_distances,
     random_connected_graph,
+    trim_to_girth_reference,
 )
 
 
@@ -241,6 +243,52 @@ def _host_and_subset(draw):
 
 
 @st.composite
+def _dense_host_and_subset(draw):
+    """A host with at least 2n candidates for augment, and a connected
+    spanning subset of its edges as in `_host_and_subset`.
+
+    The host is the square of a sparse connected graph, or G(n, p >= 0.5)
+    joined with a random spanning tree.
+    """
+    seed = draw(st.integers(0, 2**31 - 1))
+    n = draw(st.integers(10, 28))
+    if draw(st.booleans()):
+        base = random_connected_graph(n, seed, extra_edges=draw(st.integers(0, n // 2)))
+        host = graph_power(base, 2)
+    else:
+        rng = random.Random(seed)
+        p = draw(st.sampled_from([0.5, 0.7, 0.9]))
+        pairs = {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+        host = from_edges(n, pairs | set(random_connected_graph(n, seed).edges()))
+    sample = percolate(host, draw(st.sampled_from([0.0, 0.1, 0.3])), seed)
+    sub = reconnect_repair(host, sample)
+    assume(len(_far_candidates(host, sub, 2)) >= 2 * n)
+    return host, sub
+
+
+@st.composite
+def _trim_graph(draw):
+    """A graph on 1-20 vertices for trim: G(n, p), often disconnected, maybe
+    with a pendant tail, and maybe relabelled so that a shortest cycle runs
+    through vertex 0."""
+    n = draw(st.integers(1, 16))
+    rng = random.Random(draw(st.integers(0, 2**31 - 1)))
+    p = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+    pairs = {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+    tail = draw(st.integers(0, 4))
+    if tail:
+        path = [draw(st.integers(0, n - 1)), *range(n, n + tail)]
+        pairs |= set(zip(path, path[1:]))
+    g = from_edges(n + tail, pairs)
+    found = shortest_cycle_scan(g.adj)
+    if found is not None and draw(st.booleans()):
+        x = draw(st.sampled_from(found[1]))
+        swap = {0: x, x: 0}
+        g = from_edges(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in pairs])
+    return g
+
+
+@st.composite
 def _any_graph(draw):
     """A simple graph on 1-16 vertices: a forest, or random pairs (often disconnected)."""
     n = draw(st.integers(1, 16))
@@ -253,25 +301,13 @@ def _any_graph(draw):
     return from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
 
 
-class _ReadRows(list):
-    """Adjacency lists that record which rows were read."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.read = set()
-
-    def __getitem__(self, u):
-        self.read.add(u)
-        return super().__getitem__(u)
-
-
 class TestGirthLowerBound:
     """A girth target is a lower bound: 3 or less is met by every simple graph."""
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(_any_graph(), st.integers(-1, 3))
     def test_scan_stops_after_the_first_root(self, g, t):
-        rows = _ReadRows(g.adj)
+        rows = ReadRows(g.adj)
         assert shortest_cycle_scan(rows, below=t) is None
         assert len(rows.read) <= 1
 
@@ -321,6 +357,41 @@ class TestAgainstReferences:
         with mock.patch.object(graphcore, "REACH_BLOCK", block):
             got = augment_edges(host, edge_subgraph(host, sub), floor, budget).edge_set()
         assert got == augment_edges_reference(host, sub, floor, budget)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(_dense_host_and_subset(), st.integers(1, 12), st.data())
+    def test_augment_edges_on_dense_candidates(self, host_sub, floor, data):
+        # budgets below the candidate count C take the dense path (for floors
+        # of 3 or less always, since the host has at least 2n candidates),
+        # budgets of C or more the heap
+        host, sub = host_sub
+        count = len(_far_candidates(host, sub, max(floor, 3) - 1))
+        budget = data.draw(st.integers(0, max(count - 1, 0)) | st.integers(count, count + 5))
+        got = augment_edges(host, sub, floor, budget).edge_set()
+        assert got == augment_edges_reference(host, sub.edges(), floor, budget)
+
+    @pytest.mark.parametrize("count_less", [1, 0])
+    @pytest.mark.parametrize("budget_less", [1, 0])
+    def test_dense_path_rule(self, count_less, budget_less):
+        # C far candidates over a spanning path: the dense path runs iff
+        # C >= 2n and budget < C, and it re-measures no pair
+        n = 10
+        count = 2 * n - count_less
+        far = [(u, v) for u in range(n) for v in range(u + 2, n)][:count]
+        path = spanning_path(n)
+        host = from_edges(n, [*path.edges(), *far])
+        budget = count - budget_less
+        with mock.patch.object(search, "pair_distance", wraps=search.pair_distance) as spy:
+            got = augment_edges(host, path, 3, budget).edge_set()
+        dense = count_less == 0 and budget_less == 1
+        assert (spy.call_count == 0) == dense
+        assert got == augment_edges_reference(host, path.edges(), 3, budget)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_trim_graph(), st.integers(3, 12))
+    def test_trim_to_girth(self, g, target):
+        # disconnected graphs, pendant tails and shortest cycles through 0
+        assert trim_to_girth(g, target) == trim_to_girth_reference(g, target)
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(_host_and_subset(), st.integers(2, 6), st.sampled_from([1, 3, 4096]))
